@@ -30,6 +30,7 @@ from repro.markov.lumping import (
     lumped_tpm,
 )
 from repro.markov.aggregation import disaggregate, solve_aggregation_disaggregation
+from repro.markov.galerkin import GalerkinPlan
 from repro.markov.monitor import (
     IterationEvent,
     NullMonitor,
@@ -153,6 +154,7 @@ __all__ = [
     "aggregate_distribution",
     "disaggregate",
     "solve_aggregation_disaggregation",
+    "GalerkinPlan",
     "MultigridOptions",
     "MultigridSolver",
     "solve_multigrid",

@@ -1,20 +1,52 @@
 """Acceptance: instrumentation overhead on a default-spec analysis < 5%.
 
-The span layer collapses to a single context-variable lookup when no
-tracer is active, and to ~a dozen small object allocations when one is.
-Either way the cost must vanish next to the numerical work.  Measured as
-min-of-N wall time of ``analyze_cdr(CDRSpec())`` with an active tracer
-versus without one (min filters scheduler noise).
+Comparing wall times of an instrumented and a plain analysis cannot
+resolve a few percent on a shared machine: one default-spec analysis
+spreads by 10-45% from run to run, so such a gate passes or fails with
+the scheduler.  These tests measure deterministically instead:
+
+* **operation counts** come from one instrumented run (spans opened,
+  solver events a guard sees, profiler records, session lookups) and do
+  not depend on timing at all;
+* **unit costs** come from tight micro-benchmark loops of the very same
+  instrumentation calls (min over rounds, which is stable to a few
+  percent);
+* ``count x unit cost`` is the instrumentation's own cost, bounded at 5%
+  of the plain analysis time (min over runs; noise there only rescales
+  a ratio that sits far below the bound).
+
+Each test also requires the instrumented run to be numerically identical
+to the plain one (same stationary vector bits, same iteration count): an
+instrumentation layer that switched the solve onto a slower numerical
+path would otherwise hide from the count.
 """
 
 import time
 
 import numpy as np
+import pytest
 
+import repro.obs.profile as profile_module
 from repro import CDRSpec, analyze_cdr
+from repro.markov import MarkovChain, RecordingMonitor
 from repro.markov.linop import as_operator
 from repro.obs import Tracer, use_tracer
 from repro.obs.profile import instrument_operator, profiled
+from repro.resilience.fallback import resilient_stationary
+from repro.resilience.guards import GuardedMonitor, check_operator, check_result
+
+BOUND = 0.05
+
+
+def _seconds_per_call(fn, calls=2000, rounds=5):
+    """Per-call cost of ``fn()`` from the fastest of several tight loops."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best
 
 
 def _min_wall(fn, rounds):
@@ -26,66 +58,140 @@ def _min_wall(fn, rounds):
     return best
 
 
-def test_tracing_overhead_below_five_percent():
+@pytest.fixture(scope="module")
+def plain():
+    """The plain default-spec analysis and its (min-of-2) wall time."""
     spec = CDRSpec()  # the paper's default design point
-    run = lambda: analyze_cdr(spec, solver="auto")
+    analysis = analyze_cdr(spec, solver="auto")  # also warms imports/caches
+    seconds = _min_wall(lambda: analyze_cdr(spec, solver="auto"), 2)
+    return analysis, seconds
 
-    def traced():
-        with use_tracer(Tracer()):
-            run()
 
-    run()  # warm caches (imports, BLAS threads) outside the measurement
-    baseline = _min_wall(run, 5)
-    instrumented = _min_wall(traced, 5)
-    overhead = (instrumented - baseline) / baseline
-    assert overhead < 0.05, (
-        f"instrumented {instrumented:.3f}s vs baseline {baseline:.3f}s "
-        f"({overhead:+.1%} overhead)"
+def _assert_same_numerics(a, b):
+    ra, rb = a.solver_result, b.solver_result
+    assert ra.iterations == rb.iterations
+    np.testing.assert_array_equal(
+        ra.distribution.view(np.int64), rb.distribution.view(np.int64)
     )
 
 
-def test_resilient_happy_path_overhead_below_five_percent():
-    # Guards + fallback bookkeeping are per-iteration float compares; on a
-    # convergent solve the whole resilient path must stay within the same
-    # 5% envelope as tracing.
-    spec = CDRSpec()
-    plain = lambda: analyze_cdr(spec, solver="auto")
-    resilient = lambda: analyze_cdr(spec, solver="auto", resilience=True)
+def _count_spans(spans):
+    return sum(1 + _count_spans(s.children) for s in spans)
 
-    plain()
-    resilient()  # warm the resilience imports too
-    baseline = _min_wall(plain, 5)
-    guarded = _min_wall(resilient, 5)
-    overhead = (guarded - baseline) / baseline
-    assert overhead < 0.05, (
-        f"resilient {guarded:.3f}s vs baseline {baseline:.3f}s "
-        f"({overhead:+.1%} overhead)"
+
+def test_tracing_overhead_below_five_percent(plain):
+    analysis, baseline = plain
+    tracer = Tracer()
+    with use_tracer(tracer):
+        traced = analyze_cdr(CDRSpec(), solver="auto")
+    _assert_same_numerics(traced, analysis)
+    n_spans = _count_spans(tracer.roots)
+    assert n_spans > 0
+
+    bench = Tracer()
+
+    def one_span():
+        with bench.span("stage", n_states=1) as s:
+            s.set_attributes(nnz=1, method="x")
+
+    with use_tracer(bench), bench.span("root"):
+        unit = _seconds_per_call(one_span)
+    overhead = n_spans * unit / baseline
+    assert overhead < BOUND, (
+        f"{n_spans} spans x {unit * 1e6:.1f}us vs {baseline:.3f}s analysis "
+        f"({overhead:+.2%} overhead)"
     )
 
 
-def test_profiling_off_overhead_below_five_percent():
+def test_resilient_happy_path_overhead_below_five_percent(plain):
+    # Guards + fallback bookkeeping: per-event float compares on the
+    # solver's telemetry stream, two O(n) sanity checks around the solve,
+    # and a fixed per-solve cost (policy, memory budget, attempt record).
+    analysis, baseline = plain
+    recorder = RecordingMonitor()
+    guarded = analyze_cdr(
+        CDRSpec(), solver="auto", resilience=True, monitor=recorder
+    )
+    _assert_same_numerics(guarded, analysis)
+    n_events = len(recorder.events) + len(recorder.vcycle_events)
+
+    monitor = GuardedMonitor()
+    monitor.solve_started("multigrid", 1, 1e-10)
+    step = iter(range(1, 10**9))
+
+    def one_event():
+        i = next(step)
+        monitor.iteration_finished(i, 1.0 / i, 0.0)
+
+    per_event = _seconds_per_call(one_event)
+    op = as_operator(analysis.model.chain)
+    result = analysis.solver_result
+    checks = _min_wall(lambda: (check_operator(op), check_result(result)), 3)
+    tiny = MarkovChain(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]))
+    fixed = _min_wall(lambda: resilient_stationary(tiny), 5)
+    overhead = (n_events * per_event + checks + fixed) / baseline
+    assert overhead < BOUND, (
+        f"{n_events} events x {per_event * 1e6:.1f}us + checks "
+        f"{checks * 1e3:.2f}ms + fixed {fixed * 1e3:.2f}ms vs "
+        f"{baseline:.3f}s analysis ({overhead:+.2%} overhead)"
+    )
+
+
+class _CountingVar:
+    """Stands in for the profiler's session ContextVar, counting lookups."""
+
+    def __init__(self, var):
+        self.var = var
+        self.gets = 0
+
+    def get(self):
+        self.gets += 1
+        return self.var.get()
+
+    def __getattr__(self, name):
+        return getattr(self.var, name)
+
+
+def test_profiling_off_overhead_below_five_percent(plain, monkeypatch):
     # instrument_operator is compiled into every solver dispatch and every
-    # measure kernel.  With no active ProfileSession it must collapse to a
-    # contextvar lookup + None check -- the baseline-scenario analysis may
-    # not slow down just because the hook exists.  Both arms below run the
-    # exact same code (the hook is unconditionally present), so this pins
-    # the absolute cost of the disabled hook against an active-session run
-    # and, more importantly, fails if someone makes the no-session path
-    # allocate.
-    spec = CDRSpec()
-    run = lambda: analyze_cdr(spec, solver="auto")
+    # measure kernel, and the multigrid looks up the session per level
+    # visit.  With no active ProfileSession each hook must collapse to a
+    # contextvar lookup + None check: lookups x the disabled-hook cost is
+    # bounded here.  With a session active, every record (operator call or
+    # multigrid stage) x the cost of a counted operator call is bounded
+    # too, and the profiled solve must be bitwise the plain one.
+    analysis, baseline = plain
+    counter = _CountingVar(profile_module._ACTIVE_SESSION)
+    monkeypatch.setattr(profile_module, "_ACTIVE_SESSION", counter)
+    analyze_cdr(CDRSpec(), solver="auto")
+    monkeypatch.undo()
+    n_lookups = counter.gets
+    assert n_lookups > 0
 
-    def under_session():
-        with profiled(metrics=False):
-            run()
+    with profiled(metrics=False) as session:
+        counted = analyze_cdr(CDRSpec(), solver="auto")
+    _assert_same_numerics(counted, analysis)
+    n_records = sum(
+        op["calls"]
+        for role in session.snapshot()["operators"].values()
+        for op in role["ops"].values()
+    )
 
-    run()  # warm caches outside the measurement
-    baseline = _min_wall(run, 5)
-    counting = _min_wall(under_session, 5)
-    overhead = (counting - baseline) / baseline
-    assert overhead < 0.05, (
-        f"profiled {counting:.3f}s vs baseline {baseline:.3f}s "
-        f"({overhead:+.1%} overhead)"
+    op = as_operator(np.eye(4))
+    x = np.full(4, 0.25)
+    off_unit = _seconds_per_call(lambda: instrument_operator(op, role="noop"))
+    with profiled(metrics=False):
+        wrapped = instrument_operator(op, role="bench")
+        on_unit = _seconds_per_call(lambda: wrapped.rmatvec(x))
+    off = n_lookups * off_unit / baseline
+    on = n_records * on_unit / baseline
+    assert off < BOUND, (
+        f"{n_lookups} disabled hooks x {off_unit * 1e9:.0f}ns vs "
+        f"{baseline:.3f}s analysis ({off:+.3%} overhead)"
+    )
+    assert on < BOUND, (
+        f"{n_records} records x {on_unit * 1e6:.1f}us vs {baseline:.3f}s "
+        f"analysis ({on:+.2%} overhead)"
     )
 
 
