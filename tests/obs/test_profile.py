@@ -247,11 +247,13 @@ class TestMultigridCoarsestUnwrap:
         from repro.markov.multigrid import MultigridSolver
 
         mc = _chain(n=12, seed=4)
-        solver = MultigridSolver()
-        ref = solver.solve(mc.P).distribution
-        with profiled(metrics=False):
+        ref = MultigridSolver().solve(sp.csr_matrix(mc.P))
+        with profiled(metrics=False) as session:
             wrapped = instrument_operator(
                 AssembledOperator(sp.csr_matrix(mc.P)), role="t"
             )
-            prof = solver._coarsest_solve(wrapped, np.full(12, 1 / 12))
-        np.testing.assert_allclose(prof, ref, atol=1e-12)
+            prof = MultigridSolver().solve(wrapped)
+        l0 = session.snapshot()["operators"]["multigrid.L0"]["ops"]
+        assert l0["coarsest_solve"]["calls"] == prof.iterations
+        assert prof.iterations == ref.iterations
+        np.testing.assert_array_equal(prof.distribution, ref.distribution)
