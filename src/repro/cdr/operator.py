@@ -81,10 +81,17 @@ class CDRTransitionOperator:
         if self.phase_step_units + int(np.max(np.abs(self.nr_steps.values))) >= grid.n_points:
             raise ValueError("phase moves exceed the grid size")
         self._masses = _sign_masses(grid, nw)
+        #: Global state count, fixed at construction (every apply reads it).
+        self.n = self.D * self.C * self.M
+        self.shape: Tuple[int, int] = (self.n, self.n)
         with span("cdr.compile_operator") as op_span:
             self._terms = self._compile_terms()
             self._plan = RollPlan(self._terms, self.D * self.C, self.M)
             self._kernel = get_kernel()
+            # The plan's fixed arguments are bound once; an apply hands
+            # the kernel only its input and output buffers.
+            self._scatter = self._kernel.bind_roll(self._plan.q, self._plan.scatter)
+            self._gather = self._kernel.bind_roll(self._plan.q, self._plan.gather)
             op_span.set_attributes(
                 n_states=self.n,
                 n_terms=len(self._terms),
@@ -93,6 +100,7 @@ class CDRTransitionOperator:
             )
         self._diag: Optional[np.ndarray] = None
         self._ones: Optional[np.ndarray] = None
+        self._slip: Optional[np.ndarray] = None
         get_registry().counter(
             "repro_operator_compiles_total",
             "Matrix-free CDR operators compiled",
@@ -111,15 +119,6 @@ class CDRTransitionOperator:
     @property
     def D(self) -> int:
         return self.data_source.n_states
-
-    @property
-    def n(self) -> int:
-        """Global state count."""
-        return self.D * self.C * self.M
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.n, self.n)
 
     def _compile_terms(self) -> List[Tuple[int, int, int, int, Optional[np.ndarray], float]]:
         """Flatten the transition structure into per-block roll terms.
@@ -191,14 +190,14 @@ class CDRTransitionOperator:
         """
         x = as_apply_vector(x, self.n)
         out = np.zeros(self.n)
-        self._kernel.roll_apply(self._plan.q, self._plan.scatter, x, out)
+        self._scatter(x, out)
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``P v`` (adjoint of :meth:`rmatvec`)."""
         v = as_apply_vector(v, self.n)
         out = np.zeros(self.n)
-        self._kernel.roll_apply(self._plan.q, self._plan.gather, v, out)
+        self._gather(v, out)
         return out
 
     def rmatmat(self, X: np.ndarray) -> np.ndarray:
@@ -211,14 +210,14 @@ class CDRTransitionOperator:
         """
         X = as_apply_block(X, self.n)
         out = np.zeros_like(X)
-        self._kernel.roll_apply(self._plan.q, self._plan.scatter, X, out)
+        self._scatter(X, out)
         return out
 
     def matmat(self, V: np.ndarray) -> np.ndarray:
         """``P V`` for an ``(n, k)`` block (adjoint of :meth:`rmatmat`)."""
         V = as_apply_block(V, self.n)
         out = np.zeros_like(V)
-        self._kernel.roll_apply(self._plan.q, self._plan.gather, V, out)
+        self._gather(V, out)
         return out
 
     def as_linear_operator(self):
@@ -371,22 +370,28 @@ class CDRTransitionOperator:
         ``m >= M - s`` and ``s < 0`` for ``m < -s`` (same convention as
         ``PhaseGrid.shift_indices``).  This is all
         :func:`~repro.markov.passage.stationary_event_rate` needs, so slip
-        rate and MTBF work without the slip matrix ever existing.
+        rate and MTBF work without the slip matrix ever existing.  Computed
+        once and cached readonly (the slip measures ask for it twice per
+        analysis).
         """
-        M = self.M
-        out = np.zeros((self.D * self.C, M))
-        m_idx = np.arange(M)
-        for src, dst, shift, q_vec, scalar in self._terms:
-            if shift == 0:
-                continue
-            wrapped = (m_idx >= M - shift) if shift > 0 else (m_idx < -shift)
-            if not np.any(wrapped):
-                continue
-            if q_vec is None:
-                out[src, wrapped] += scalar
-            else:
-                out[src, wrapped] += scalar * q_vec[wrapped]
-        return out.ravel()
+        if self._slip is None:
+            M = self.M
+            out = np.zeros((self.D * self.C, M))
+            m_idx = np.arange(M)
+            for src, dst, shift, q_vec, scalar in self._terms:
+                if shift == 0:
+                    continue
+                wrapped = (m_idx >= M - shift) if shift > 0 else (m_idx < -shift)
+                if not np.any(wrapped):
+                    continue
+                if q_vec is None:
+                    out[src, wrapped] += scalar
+                else:
+                    out[src, wrapped] += scalar * q_vec[wrapped]
+            out = out.ravel()
+            out.flags.writeable = False
+            self._slip = out
+        return self._slip
 
     def to_kronecker(self):
         """Kronecker/SAN descriptor of the same matrix over ``[D, C, M]``.

@@ -32,6 +32,13 @@ compiled tiers.  The equivalence battery in ``tests/kernels`` and the CI
 ``kernels`` job enforce this invariant across tiers, blocked vs looped
 applies, and all registered scenarios.
 
+A tier exposes two binders, ``bind_roll(q, segs)`` and ``bind_csr(cs)``,
+each returning a callable ``(x, out) -> None`` with the plan's fixed
+arguments (index arrays, weights, counts) prepared once.  Operators bind
+each apply direction at construction, so a hot-loop apply marshals only
+its input and output; the bound call holds the plan arrays it uses,
+which are read-only (see :mod:`repro.kernels.plan`).
+
 This module also hosts the zero-copy apply-argument helpers
 (:func:`as_apply_vector`, :func:`as_apply_block`): float64 contiguous
 caller buffers pass through untouched (``np.shares_memory`` with the

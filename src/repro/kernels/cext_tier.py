@@ -15,6 +15,12 @@ break the cross-tier bit-identity invariant.  No ``-ffast-math``, no
 ``-march=native`` (reassociation and machine-specific contraction are
 exactly the transformations we must forbid).
 
+Calls are bound per plan (:class:`BoundCall`): the plan arrays'
+addresses and the counts become ctypes arguments once, when an operator
+is built, and an apply passes only its input and output buffers.
+Building those pointers per call (``data_as`` / ``ctypes.cast``) used to
+dominate the apply on a few-hundred-state chain.
+
 When no compiler is available or the probe compile fails, the tier
 simply reports itself unavailable and selection falls through to NumPy.
 """
@@ -31,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["load_tier", "build_error"]
+__all__ = ["load_tier", "build_error", "bind_roll", "bind_csr"]
 
 name = "cext"
 
@@ -161,16 +167,12 @@ def _build() -> ctypes.CDLL:
             # benignly -- last rename wins, every file is complete.
             os.replace(tmp_so, so_path)
     lib = ctypes.CDLL(so_path)
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    f64p = ctypes.POINTER(ctypes.c_double)
+    ptr = ctypes.c_void_p
+    i64 = ctypes.c_int64
     lib.repro_roll_apply.restype = None
-    lib.repro_roll_apply.argtypes = [f64p, f64p, f64p, f64p] + [i64p] * 7 + [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
-    ]
+    lib.repro_roll_apply.argtypes = [ptr] * 11 + [i64] * 3
     lib.repro_csr_apply.restype = None
-    lib.repro_csr_apply.argtypes = [
-        f64p, f64p, f64p, i64p, i64p, ctypes.c_int64, ctypes.c_int64
-    ]
+    lib.repro_csr_apply.argtypes = [ptr] * 5 + [i64] * 2
     return lib
 
 
@@ -191,27 +193,62 @@ def load_tier():
     return sys.modules[__name__]
 
 
-def _f64(arr: np.ndarray):
-    return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+_ONE = ctypes.c_int64(1)
+_byref = ctypes.byref
+_from_buffer = ctypes.c_double.from_buffer
 
 
-def _i64(arr: np.ndarray):
-    return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+def _buffer(arr: np.ndarray):
+    """Pointer argument for a caller's C-contiguous float64 buffer.
+
+    ``from_buffer`` + ``byref`` is the cheapest route numpy and ctypes
+    offer (no ``ctypes.cast``, no ``data_as``) and keeps ``arr`` alive
+    for the call; it needs a writable buffer, so a read-only input falls
+    back to its address.
+    """
+    try:
+        return _byref(_from_buffer(arr))
+    except TypeError:
+        return ctypes.c_void_p(arr.ctypes.data)
 
 
-def roll_apply(q: np.ndarray, segs, x: np.ndarray, out: np.ndarray) -> None:
-    nvec = 1 if x.ndim == 1 else x.shape[1]
-    _lib.repro_roll_apply(
-        _f64(x), _f64(out), _f64(q), _f64(segs.scale),
-        _i64(segs.orow), _i64(segs.irow), _i64(segs.qrow),
-        _i64(segs.a), _i64(segs.b), _i64(segs.xoff), _i64(segs.woff),
-        segs.n_segments, q.shape[1], nvec,
+class BoundCall:
+    """One kernel with a plan's fixed arguments marshalled once.
+
+    ``arrays`` are the plan's read-only arrays (see
+    :mod:`repro.kernels.plan`), passed by address; the bound call holds
+    them, so their memory lives as long as it does -- whatever happens to
+    the plan object -- and cannot be resized underneath it.  A call
+    marshals only the input, the output and the column count.
+    """
+
+    __slots__ = ("_fn", "_fixed", "_pins")
+
+    def __init__(self, fn, arrays, counts) -> None:
+        self._fn = fn
+        self._pins = tuple(arrays)
+        self._fixed = tuple(ctypes.c_void_p(a.ctypes.data) for a in arrays) + tuple(
+            ctypes.c_int64(int(c)) for c in counts
+        )
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
+        nvec = _ONE if x.ndim == 1 else ctypes.c_int64(x.shape[1])
+        self._fn(_buffer(x), _buffer(out), *self._fixed, nvec)
+
+
+def bind_roll(q: np.ndarray, segs) -> BoundCall:
+    """``(x, out) -> None``: accumulate one roll-plan application."""
+    arrays = (
+        q, segs.scale, segs.orow, segs.irow, segs.qrow,
+        segs.a, segs.b, segs.xoff, segs.woff,
+    )
+    return BoundCall(
+        _lib.repro_roll_apply, arrays, (segs.n_segments, q.shape[1])
     )
 
 
-def csr_apply(cs, x: np.ndarray, out: np.ndarray) -> None:
-    nvec = 1 if x.ndim == 1 else x.shape[1]
-    _lib.repro_csr_apply(
-        _f64(x), _f64(out), _f64(cs.vals), _i64(cs.cols), _i64(cs.indptr),
-        cs.n_rows, nvec,
+def bind_csr(cs) -> BoundCall:
+    """``(x, out) -> None``: one branch-plan (CSR-form) application."""
+    return BoundCall(
+        _lib.repro_csr_apply, (cs.vals, cs.cols, cs.indptr), (cs.n_rows,)
     )

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["load_tier", "import_error"]
+__all__ = ["load_tier", "import_error", "bind_roll", "bind_csr"]
 
 name = "numba"
 
@@ -90,15 +90,29 @@ def load_tier():
     return sys.modules[__name__]
 
 
-def roll_apply(q: np.ndarray, segs, x: np.ndarray, out: np.ndarray) -> None:
-    nvec = 1 if x.ndim == 1 else x.shape[1]
-    _compiled[0](
+def bind_roll(q: np.ndarray, segs):
+    """``(x, out) -> None`` accumulating one roll-plan application."""
+    kernel = _compiled[0]
+    fixed = (
         q.ravel(), segs.scale, segs.orow, segs.irow, segs.qrow,
         segs.a, segs.b, segs.xoff, segs.woff,
-        x.ravel(), out.reshape(-1), q.shape[1], nvec,
     )
+    m_pts = q.shape[1]
+
+    def apply(x: np.ndarray, out: np.ndarray) -> None:
+        nvec = 1 if x.ndim == 1 else x.shape[1]
+        kernel(*fixed, x.ravel(), out.reshape(-1), m_pts, nvec)
+
+    return apply
 
 
-def csr_apply(cs, x: np.ndarray, out: np.ndarray) -> None:
-    nvec = 1 if x.ndim == 1 else x.shape[1]
-    _compiled[1](cs.vals, cs.cols, cs.indptr, x.ravel(), out.reshape(-1), nvec)
+def bind_csr(cs):
+    """``(x, out) -> None``: one branch-plan (CSR-form) application."""
+    kernel = _compiled[1]
+    vals, cols, indptr = cs.vals, cs.cols, cs.indptr
+
+    def apply(x: np.ndarray, out: np.ndarray) -> None:
+        nvec = 1 if x.ndim == 1 else x.shape[1]
+        kernel(vals, cols, indptr, x.ravel(), out.reshape(-1), nvec)
+
+    return apply

@@ -16,24 +16,37 @@ the far slower ``np.add.at``.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-__all__ = ["roll_apply", "csr_apply"]
+__all__ = ["bind_roll", "bind_csr"]
 
 name = "numpy"
 
 
-def roll_apply(q: np.ndarray, segs, x: np.ndarray, out: np.ndarray) -> None:
-    """Accumulate one roll-plan application into ``out`` (zero-initialized).
+def bind_roll(q: np.ndarray, segs):
+    """``(x, out) -> None`` accumulating one roll-plan application.
 
     ``x`` and ``out`` are ``(n,)`` vectors or C-contiguous ``(n, k)``
-    multi-vector blocks; ``q`` is the plan's ``(n_rows, M)`` weight table.
+    multi-vector blocks (``out`` zero-initialized); ``q`` is the plan's
+    ``(n_rows, M)`` weight table.  The segment tuples are unpacked once,
+    here, and the bound call holds them and ``q``.
     """
+    return partial(_roll_apply, q, segs.rows())
+
+
+def bind_csr(cs):
+    """``(x, out) -> None``: one branch-plan (CSR-form) application."""
+    return partial(_csr_apply, cs)
+
+
+def _roll_apply(q: np.ndarray, rows, x: np.ndarray, out: np.ndarray) -> None:
     M = q.shape[1]
     if x.ndim == 1:
         xb = x.reshape(-1, M)
         ob = out.reshape(-1, M)
-        for orow, irow, qrow, scale, a, b, xoff, woff in segs.rows():
+        for orow, irow, qrow, scale, a, b, xoff, woff in rows:
             w = q[qrow, a + woff: b + woff] * scale
             w *= xb[irow, a + xoff: b + xoff]
             ob[orow, a:b] += w
@@ -41,15 +54,13 @@ def roll_apply(q: np.ndarray, segs, x: np.ndarray, out: np.ndarray) -> None:
         k = x.shape[1]
         xb = x.reshape(-1, M, k)
         ob = out.reshape(-1, M, k)
-        for orow, irow, qrow, scale, a, b, xoff, woff in segs.rows():
+        for orow, irow, qrow, scale, a, b, xoff, woff in rows:
             w = q[qrow, a + woff: b + woff] * scale
             ob[orow, a:b, :] += w[:, None] * xb[irow, a + xoff: b + xoff, :]
 
 
-def csr_apply(cs, x: np.ndarray, out: np.ndarray) -> None:
-    """One branch-plan (CSR-form) application into ``out`` (zeroed).
-
-    ``np.bincount`` adds the sorted entries sequentially into each bin,
+def _csr_apply(cs, x: np.ndarray, out: np.ndarray) -> None:
+    """``np.bincount`` adds the sorted entries sequentially into each bin,
     which is exactly the accumulation order of a CSR row sum.
     """
     if x.ndim == 1:

@@ -39,16 +39,27 @@ for the gather (``P v``) and scatter (``P^T x``) directions -- replacing
 the ``np.add.at`` scatter (notoriously slow: one Python-level fancy-index
 dispatch per apply) with a sequential CSR pass that is bit-identical to
 the assembled backend.
+
+Every plan array is **read-only** once its constructor returns: the
+kernel tiers bind raw buffer addresses when an operator is built
+(:mod:`repro.kernels`), and an array that could be written in place or
+resized would let a bound call read stale memory.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["SegmentSet", "RollPlan", "CSRArrays", "BranchPlan"]
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark plan arrays read-only (their addresses are bound by the tiers)."""
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 class SegmentSet:
@@ -64,7 +75,7 @@ class SegmentSet:
 
     __slots__ = (
         "orow", "irow", "qrow", "scale", "a", "b", "xoff", "woff",
-        "n_segments", "_rows",
+        "n_segments",
     )
 
     def __init__(self, rows: Sequence[Tuple[int, int, int, float, int, int, int, int]]) -> None:
@@ -78,19 +89,18 @@ class SegmentSet:
         self.xoff = np.ascontiguousarray(cols[6], dtype=np.int64)
         self.woff = np.ascontiguousarray(cols[7], dtype=np.int64)
         self.n_segments = len(rows)
-        self._rows: Optional[List[Tuple]] = None
+        _freeze(self.orow, self.irow, self.qrow, self.scale, self.a, self.b,
+               self.xoff, self.woff)
 
     def rows(self) -> List[Tuple]:
-        """Plain-Python tuples for the NumPy tier's segment loop (cached)."""
-        if self._rows is None:
-            self._rows = list(
-                zip(
-                    self.orow.tolist(), self.irow.tolist(), self.qrow.tolist(),
-                    self.scale.tolist(), self.a.tolist(), self.b.tolist(),
-                    self.xoff.tolist(), self.woff.tolist(),
-                )
+        """Plain-Python tuples for the NumPy tier's segment loop."""
+        return list(
+            zip(
+                self.orow.tolist(), self.irow.tolist(), self.qrow.tolist(),
+                self.scale.tolist(), self.a.tolist(), self.b.tolist(),
+                self.xoff.tolist(), self.woff.tolist(),
             )
-        return self._rows
+        )
 
 
 class RollPlan:
@@ -178,6 +188,7 @@ class RollPlan:
         self.qrow = np.asarray(qrow_l, dtype=np.int64)
         self.scale = np.asarray(scale_l, dtype=np.float64)
         self.n_terms = len(src_l)
+        _freeze(self.q, self.src, self.dst, self.shift, self.qrow, self.scale)
 
         # Nonzero support [lo, hi) of each weight row.  Segments are
         # trimmed to it, so the explicit zeros CSR eliminates are (for
@@ -235,14 +246,12 @@ class RollPlan:
         """
         M, n = self.M, self.n
         m_idx = np.arange(M)
-        rows, cols, vals = [], [], []
-        for k in range(self.n_terms):
-            rows.append(self.src[k] * M + m_idx)
-            cols.append(self.dst[k] * M + (m_idx + self.shift[k]) % M)
-            vals.append(self.scale[k] * self.q[self.qrow[k]])
+        # Term-major triplets: row k of each table is term k's M entries.
+        rows = self.src[:, None] * M + m_idx
+        cols = self.dst[:, None] * M + (m_idx + self.shift[:, None]) % M
+        vals = self.scale[:, None] * self.q[self.qrow]
         P = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
+            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
         ).tocsr()
         P.sum_duplicates()
         P.eliminate_zeros()
@@ -295,6 +304,7 @@ class CSRArrays:
         self.vals = np.ascontiguousarray(v, dtype=np.float64)
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(np.int64)
         self.n_rows = int(n)
+        _freeze(self.rows, self.cols, self.vals, self.indptr)
 
     @property
     def nnz(self) -> int:

@@ -374,6 +374,18 @@ class SolveContext:
 # the hierarchy as a Krylov preconditioner
 # --------------------------------------------------------------------- #
 
+def _uncoarsened_csr(op) -> sp.csr_matrix:
+    """CSR of a matrix-free operator small enough to have no coarse level.
+
+    The hierarchy stops at ``coarsest_size`` states, so this matrix is
+    small; an operator that cannot assemble itself still yields it as its
+    Galerkin restriction onto singleton blocks.
+    """
+    if getattr(op, "to_csr", None) is None and getattr(op, "restrict", None) is not None:
+        return op.restrict(Partition(np.arange(op.shape[0])), None).tocsr()
+    return ensure_csr(op)
+
+
 class _AMGLevel:
     """Per-level data of the preconditioner cycle (fixed for one solve)."""
 
@@ -454,7 +466,7 @@ class AMGPreconditioner:
             )
             current = C
             w = mass
-        coarsest = current if sp.issparse(current) else ensure_csr(current)
+        coarsest = current if sp.issparse(current) else _uncoarsened_csr(current)
         from repro.markov.solvers.direct import augmented_system
 
         self._coarse_lu = splu(augmented_system(coarsest).tocsc())

@@ -8,8 +8,11 @@ normalization), optionally preconditioned.
 Preconditioners:
 
 ``"auto"`` (default)
-    ILU when the matrix is assembled, none otherwise -- the historical
-    behaviour.
+    A capability rule: ILU when the matrix is assembled; AMG for a
+    matrix-free operator that offers ``diagonal()`` and ``restrict()``
+    (the structural operators :class:`~repro.cdr.operator.CDRTransitionOperator`
+    and :class:`~repro.scenarios.operator.BranchSumOperator`); none for
+    any other matrix-free operator.
 ``"ilu"``
     Incomplete-LU right preconditioning.  Needs the assembled matrix:
     requesting it explicitly on a matrix-free operator raises a typed
@@ -58,6 +61,13 @@ __all__ = ["solve_krylov"]
 _PRECONDITIONERS = (None, "auto", "ilu", "amg")
 
 
+def _coarsens(op) -> bool:
+    """Whether a matrix-free operator can carry the AMG preconditioner."""
+    return callable(getattr(op, "diagonal", None)) and callable(
+        getattr(op, "restrict", None)
+    )
+
+
 def _amg_preconditioner(op, hierarchy, weights):
     """Resolve the ``hierarchy`` argument into an AMG ``M`` operator."""
     from repro.markov.context import (
@@ -98,16 +108,17 @@ def solve_krylov(
     variant:
         ``"gmres"`` (default) or ``"bicgstab"``.
     preconditioner:
-        ``"auto"`` (ILU when assembled, none otherwise), ``"ilu"``,
+        ``"auto"`` (ILU when assembled; AMG when matrix-free with
+        ``diagonal()`` and ``restrict()``; otherwise none), ``"ilu"``,
         ``"amg"`` (one hierarchy V-cycle, matrix-free capable) or
-        ``None``.  ILU can fail on highly structured singular-ish
-        systems; in that case the solver transparently retries
-        unpreconditioned.  Explicit ``"ilu"`` on a matrix-free operator
+        ``None`` (honoured as unpreconditioned).  ILU can fail on highly
+        structured singular-ish systems; in that case the solver
+        transparently retries unpreconditioned.  Explicit ``"ilu"`` on a matrix-free operator
         raises :class:`~repro.markov.linop.OperatorCapabilityError`.
     restart:
         GMRES restart length.
     hierarchy:
-        For ``preconditioner="amg"``: a prebuilt
+        For AMG (explicit or resolved from ``"auto"``): a prebuilt
         :class:`~repro.markov.context.CoarseningHierarchy` or a
         :class:`~repro.markov.context.SolveContext`; built fresh when
         omitted.
@@ -130,7 +141,12 @@ def solve_krylov(
     assembled = isinstance(op, AssembledOperator)
     resolved = preconditioner
     if resolved == "auto":
-        resolved = "ilu" if assembled else None
+        if assembled:
+            resolved = "ilu"
+        elif _coarsens(op):
+            resolved = "amg"
+        else:
+            resolved = None
     if resolved == "ilu" and not assembled:
         raise OperatorCapabilityError(
             f"{type(op).__name__} cannot be ILU-preconditioned: ILU "

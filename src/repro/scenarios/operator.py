@@ -77,6 +77,9 @@ class BranchSumOperator:
         self._terms = compiled
         self._plan = BranchPlan(self.n, compiled)
         self._kernel = get_kernel()
+        # Fixed plan arguments bound once; applies pass only x and out.
+        self._gather = self._kernel.bind_csr(self._plan.gather)
+        self._scatter = self._kernel.bind_csr(self._plan.scatter)
         rows = np.zeros(self.n)
         for w, _ in compiled:
             rows += w
@@ -115,7 +118,7 @@ class BranchSumOperator:
         """
         v = as_apply_vector(v, self.n)
         out = np.zeros(self.n)
-        self._kernel.csr_apply(self._plan.gather, v, out)
+        self._gather(v, out)
         return out
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
@@ -128,21 +131,21 @@ class BranchSumOperator:
         """
         x = as_apply_vector(x, self.n)
         out = np.zeros(self.n)
-        self._kernel.csr_apply(self._plan.scatter, x, out)
+        self._scatter(x, out)
         return out
 
     def matmat(self, V: np.ndarray) -> np.ndarray:
         """``P V`` for an ``(n, k)`` block; columns match :meth:`matvec`."""
         V = as_apply_block(V, self.n)
         out = np.zeros_like(V)
-        self._kernel.csr_apply(self._plan.gather, V, out)
+        self._gather(V, out)
         return out
 
     def rmatmat(self, X: np.ndarray) -> np.ndarray:
         """``P^T X`` for an ``(n, k)`` block; columns match :meth:`rmatvec`."""
         X = as_apply_block(X, self.n)
         out = np.zeros_like(X)
-        self._kernel.csr_apply(self._plan.scatter, X, out)
+        self._scatter(X, out)
         return out
 
     def diagonal(self) -> np.ndarray:

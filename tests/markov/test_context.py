@@ -11,6 +11,8 @@ operators, warm starts) stays per-solve.  These tests pin down
 * ``preconditioner="amg"`` on all three TPM backends, including an
   operator stripped of ``to_csr`` (fully matrix-free);
 * the typed error for ``preconditioner="ilu"`` on matrix-free operators;
+* the ``"auto"`` capability rule: ILU when assembled, AMG when matrix-free
+  with ``diagonal()`` and ``restrict()``, unpreconditioned otherwise;
 * coarsening edge cases (singleton partitions, the ``coarsest_size``
   boundary) and the Galerkin row-sum-preservation property across the
   three backend ``restrict`` implementations.
@@ -275,6 +277,63 @@ class TestKrylovAMG:
 
         with pytest.raises(OperatorCapabilityError, match="restrict"):
             AMGPreconditioner(NoRestrict(chain.P), hierarchy)
+
+
+class _ProtocolOnly:
+    """Matrix-free operator with the bare protocol: no ``restrict``."""
+
+    def __init__(self, op):
+        self._op = op
+        self.shape = op.shape
+
+    def matvec(self, v):
+        return self._op.matvec(v)
+
+    def rmatvec(self, x):
+        return self._op.rmatvec(x)
+
+    def diagonal(self):
+        return self._op.diagonal()
+
+    def row_sums(self):
+        return self._op.row_sums()
+
+
+class TestKrylovAutoRule:
+    def test_matrix_free_with_restrict_resolves_to_amg(self):
+        op = CDRTransitionOperator(**cdr_params())
+        result = stationary_distribution(op, method="krylov", tol=1e-10)
+        assert result.method == "krylov-gmres+amg"
+        assert result.converged and result.residual <= 1e-10
+
+    def test_assembled_still_resolves_to_ilu(self):
+        result = stationary_distribution(
+            birth_death_fixture(64), method="krylov", tol=1e-10
+        )
+        assert result.method == "krylov-gmres+ilu"
+
+    def test_explicit_none_is_honoured(self):
+        op = CDRTransitionOperator(**cdr_params())
+        result = stationary_distribution(
+            op, method="krylov", preconditioner=None, tol=1e-10
+        )
+        assert result.method == "krylov-gmres"
+
+    def test_operator_without_restrict_stays_unpreconditioned(self):
+        op = _ProtocolOnly(CDRTransitionOperator(**cdr_params()))
+        result = stationary_distribution(op, method="krylov", tol=1e-10)
+        assert result.method == "krylov-gmres"
+        assert result.converged
+
+    def test_uncoarsened_operator_without_to_csr(self):
+        # Below the hierarchy's coarsest size there is no coarse level:
+        # the whole operator is the direct-solved level, obtained through
+        # restrict() when it cannot assemble itself.
+        op = StrippedOperator(CDRTransitionOperator(**cdr_params(M=16, counter=2)))
+        assert op.shape[0] <= 512
+        result = stationary_distribution(op, method="krylov", tol=1e-10)
+        assert result.method == "krylov-gmres+amg"
+        assert result.converged and result.residual <= 1e-10
 
 
 class TestIluCapability:
