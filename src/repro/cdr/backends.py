@@ -110,9 +110,7 @@ class KroneckerCDROperator:
         # (OperatorCapabilityError above 1e5 states).
         return self.descriptor.to_csr()
 
-    def restrict(
-        self, partition: Partition, weights: Optional[np.ndarray] = None
-    ) -> sp.csr_matrix:
+    def restrict(self, partition: Partition, weights: Optional[np.ndarray] = None):
         return self._structural.restrict(partition, weights)
 
     def slip_row_sums(self) -> np.ndarray:

@@ -17,6 +17,10 @@ as vectorized block-roll operations.
 Combined with the matrix-free power iteration this pushes the feasible
 model size to tens of millions of states on a laptop (the assembled
 matrix for 1e7 states at ~9 nnz/row would already need multiple GB).
+
+Its phase-pairing multigrid levels are the same kind of operator
+(:class:`RollOperator`) on half the phase points, so the whole hierarchy
+stays unassembled down to its small coarsest level.
 """
 
 from __future__ import annotations
@@ -33,20 +37,176 @@ from repro.cdr.model import _sign_masses
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.kernels import RollPlan, as_apply_block, as_apply_vector, get_kernel
-from repro.markov.lumping import Partition, prepare_block_weights
+from repro.markov.lumping import Partition, lumped_tpm, prepare_block_weights
 from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
 from repro.markov.solvers.result import StationaryResult
 from repro.noise.distributions import DiscreteDistribution
 from repro.obs import get_registry, span
 
-__all__ = ["CDRTransitionOperator"]
-
-#: Terms per chunk when aggregating the Galerkin coarse operator; bounds
-#: the transient COO triplet storage at ~_RESTRICT_CHUNK * M entries.
-_RESTRICT_CHUNK = 128
+__all__ = ["RollOperator", "CDRTransitionOperator"]
 
 
-class CDRTransitionOperator:
+class RollOperator:
+    """A block-roll transition operator, applied from its :class:`RollPlan`.
+
+    The fine :class:`CDRTransitionOperator` and every level of its
+    phase-pairing multigrid hierarchy are roll operators: they share the
+    kernel applies, ``diagonal()``, ``to_csr()`` and ``restrict()``.  A
+    coarse level is what :meth:`restrict` returns for the operator's own
+    phase pairing -- the paper's lumped problem, which "resembles the
+    original problem but with coarser phase error discretization", and
+    here is exactly the same kind of operator on ``M / 2`` phases.
+    """
+
+    def __init__(self, plan: RollPlan, kernel=None) -> None:
+        self._plan = plan
+        #: Global state count, fixed at construction (every apply reads it).
+        self.n = plan.n
+        self.shape: Tuple[int, int] = (self.n, self.n)
+        self._kernel = get_kernel() if kernel is None else kernel
+        # The plan's fixed arguments are bound once; an apply hands the
+        # kernel only its input and output buffers.
+        self._scatter = self._kernel.bind_roll(plan.q, plan.scatter)
+        self._gather = self._kernel.bind_roll(plan.q, plan.gather)
+        self._diag: Optional[np.ndarray] = None
+
+    @property
+    def nnz(self) -> int:
+        """Entries of the matrix this operator applies (not assembled)."""
+        return self._plan.nnz
+
+    @property
+    def kernel_tier(self) -> str:
+        """Name of the kernel tier this operator applies through."""
+        return self._kernel.name
+
+    # ------------------------------------------------------------------ #
+    # operator applications
+    # ------------------------------------------------------------------ #
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """``P^T x``: propagate a (row) distribution one symbol forward.
+
+        Mass in source block ``b`` at phase ``m`` lands in destination
+        block ``b'`` at phase ``(m + shift) mod M`` -- a circular roll,
+        executed as contiguous-slice segments by the active kernel tier
+        (bit-identical to applying ``to_csr().T``).  A C-contiguous
+        float64 ``x`` is consumed without copying.
+        """
+        x = as_apply_vector(x, self.n)
+        out = np.zeros(self.n)
+        self._scatter(x, out)
+        return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``P v`` (adjoint of :meth:`rmatvec`)."""
+        v = as_apply_vector(v, self.n)
+        out = np.zeros(self.n)
+        self._gather(v, out)
+        return out
+
+    def rmatmat(self, X: np.ndarray) -> np.ndarray:
+        """``P^T X`` for an ``(n, k)`` block of vectors in one pass.
+
+        The blocked kernels stream the weight table once per segment for
+        all ``k`` columns, amortizing the weight/index traffic that a
+        column-at-a-time loop would re-read ``k`` times; column ``j`` of
+        the result is bit-identical to ``rmatvec(X[:, j])``.
+        """
+        X = as_apply_block(X, self.n)
+        out = np.zeros_like(X)
+        self._scatter(X, out)
+        return out
+
+    def matmat(self, V: np.ndarray) -> np.ndarray:
+        """``P V`` for an ``(n, k)`` block (adjoint of :meth:`rmatmat`)."""
+        V = as_apply_block(V, self.n)
+        out = np.zeros_like(V)
+        self._gather(V, out)
+        return out
+
+    def as_linear_operator(self):
+        """scipy ``LinearOperator`` view (for Krylov methods)."""
+        from scipy.sparse.linalg import LinearOperator
+
+        return LinearOperator(
+            self.shape, matvec=self.matvec, rmatvec=self.rmatvec,
+            matmat=self.matmat, rmatmat=self.rmatmat, dtype=float,
+        )
+
+    # ------------------------------------------------------------------ #
+    # structural queries (TransitionOperator protocol)
+    # ------------------------------------------------------------------ #
+
+    def diagonal(self) -> np.ndarray:
+        """``diag(P)`` from the plan (for Jacobi splittings).
+
+        Computed once and cached readonly: Jacobi/multigrid smoothers call
+        this every sweep.  Exactly ``to_csr().diagonal()``.
+        """
+        if self._diag is None:
+            diag = self._plan.diagonal()
+            diag.flags.writeable = False
+            self._diag = diag
+        return self._diag
+
+    def row_sums(self) -> np.ndarray:
+        """``P 1``, computed by one ``matvec``."""
+        return self.matvec(np.ones(self.n))
+
+    def stochasticity_defect(self) -> float:
+        """``max |P 1 - 1|`` computed by an actual matvec (guard check)."""
+        return float(np.abs(self.matvec(np.ones(self.n)) - 1.0).max())
+
+    def to_csr(self) -> sp.csr_matrix:
+        """Materialize the explicit CSR matrix.
+
+        Costs the O(nnz) memory the operator otherwise avoids.  Built from
+        the coalesced plan so the matrix and the kernels agree bit for bit
+        (same merged values, same per-row column order).
+        """
+        return self._plan.to_csr()
+
+    def restrict(self, partition: Partition, weights: Optional[np.ndarray] = None):
+        """Weighted Galerkin coarse operator, built without assembling ``P``.
+
+        For the operator's own phase pairing (``block_of[b*M + m] ==
+        b*(M/2) + m//2``, ``M`` even) the coarse operator is again a
+        :class:`RollOperator`, on ``M / 2`` phases: its weight table is
+        the fine weight rows scaled by ``w / mass`` and summed over phase
+        pairs (:meth:`~repro.kernels.plan.PhasePairing.coarse`), and its
+        term map and segment tables are built once per level.  Any
+        other partition goes through ``lumped_tpm(self.to_csr(), ...)``
+        and returns CSR.  Either result equals that ``lumped_tpm`` up to
+        summation order; callers needing CSR use
+        :func:`~repro.markov.linop.ensure_csr`.
+        """
+        if partition.n_states != self.n:
+            raise ValueError("partition size does not match operator size")
+        if not self._pairs_phases(partition):
+            return lumped_tpm(self.to_csr(), partition, weights=weights)
+        w, block_mass = prepare_block_weights(partition, weights)
+        w *= np.repeat(1.0 / block_mass, 2)
+        plan = self._plan
+        return RollOperator(plan.phase_pairing().coarse(plan, w), self._kernel)
+
+    def _pairs_phases(self, partition: Partition) -> bool:
+        # For even M, b*(M/2) + m//2 with i = b*M + m is just i // 2.
+        return (
+            self._plan.M % 2 == 0
+            and 2 * partition.n_blocks == self.n
+            and np.array_equal(partition.block_of, np.arange(self.n) // 2)
+        )
+
+    def __repr__(self) -> str:
+        plan = self._plan
+        return (
+            f"RollOperator(n={self.n}, blocks={plan.n_blocks}, M={plan.M}, "
+            f"terms={plan.n_terms})"
+        )
+
+
+class CDRTransitionOperator(RollOperator):
     """The CDR chain's transition operator, applied without assembly.
 
     Parameters are identical to :func:`repro.cdr.model.build_cdr_chain`;
@@ -81,24 +241,15 @@ class CDRTransitionOperator:
         if self.phase_step_units + int(np.max(np.abs(self.nr_steps.values))) >= grid.n_points:
             raise ValueError("phase moves exceed the grid size")
         self._masses = _sign_masses(grid, nw)
-        #: Global state count, fixed at construction (every apply reads it).
-        self.n = self.D * self.C * self.M
-        self.shape: Tuple[int, int] = (self.n, self.n)
         with span("cdr.compile_operator") as op_span:
             self._terms = self._compile_terms()
-            self._plan = RollPlan(self._terms, self.D * self.C, self.M)
-            self._kernel = get_kernel()
-            # The plan's fixed arguments are bound once; an apply hands
-            # the kernel only its input and output buffers.
-            self._scatter = self._kernel.bind_roll(self._plan.q, self._plan.scatter)
-            self._gather = self._kernel.bind_roll(self._plan.q, self._plan.gather)
+            super().__init__(RollPlan(self._terms, self.D * self.C, self.M))
             op_span.set_attributes(
                 n_states=self.n,
                 n_terms=len(self._terms),
                 n_roll_terms=self._plan.n_terms,
                 kernel_tier=self._kernel.name,
             )
-        self._diag: Optional[np.ndarray] = None
         self._ones: Optional[np.ndarray] = None
         self._slip: Optional[np.ndarray] = None
         get_registry().counter(
@@ -170,87 +321,6 @@ class CDRTransitionOperator:
                             )
         return terms
 
-    # ------------------------------------------------------------------ #
-    # operator applications
-    # ------------------------------------------------------------------ #
-
-    @property
-    def kernel_tier(self) -> str:
-        """Name of the kernel tier this operator applies through."""
-        return self._kernel.name
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """``P^T x``: propagate a (row) distribution one symbol forward.
-
-        Mass in source block ``b`` at phase ``m`` lands in destination
-        block ``b'`` at phase ``(m + shift) mod M`` -- a circular roll,
-        executed as contiguous-slice segments by the active kernel tier
-        (bit-identical to applying ``to_csr().T``).  A C-contiguous
-        float64 ``x`` is consumed without copying.
-        """
-        x = as_apply_vector(x, self.n)
-        out = np.zeros(self.n)
-        self._scatter(x, out)
-        return out
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """``P v`` (adjoint of :meth:`rmatvec`)."""
-        v = as_apply_vector(v, self.n)
-        out = np.zeros(self.n)
-        self._gather(v, out)
-        return out
-
-    def rmatmat(self, X: np.ndarray) -> np.ndarray:
-        """``P^T X`` for an ``(n, k)`` block of vectors in one pass.
-
-        The blocked kernels stream the weight table once per segment for
-        all ``k`` columns, amortizing the weight/index traffic that a
-        column-at-a-time loop would re-read ``k`` times; column ``j`` of
-        the result is bit-identical to ``rmatvec(X[:, j])``.
-        """
-        X = as_apply_block(X, self.n)
-        out = np.zeros_like(X)
-        self._scatter(X, out)
-        return out
-
-    def matmat(self, V: np.ndarray) -> np.ndarray:
-        """``P V`` for an ``(n, k)`` block (adjoint of :meth:`rmatmat`)."""
-        V = as_apply_block(V, self.n)
-        out = np.zeros_like(V)
-        self._gather(V, out)
-        return out
-
-    def as_linear_operator(self):
-        """scipy ``LinearOperator`` view (for Krylov methods)."""
-        from scipy.sparse.linalg import LinearOperator
-
-        return LinearOperator(
-            self.shape, matvec=self.matvec, rmatvec=self.rmatvec,
-            matmat=self.matmat, rmatmat=self.rmatmat, dtype=float,
-        )
-
-    # ------------------------------------------------------------------ #
-    # structural queries (TransitionOperator protocol)
-    # ------------------------------------------------------------------ #
-
-    def diagonal(self) -> np.ndarray:
-        """``diag(P)`` from the term structure (for Jacobi splittings).
-
-        Computed once from the terms and cached readonly: Jacobi/multigrid
-        smoothers call this every sweep, and rebuilding the block scratch
-        array per call was pure waste (ROADMAP item 1 bugfix sweep).
-        """
-        if self._diag is None:
-            M = self.M
-            diag = np.zeros((self.D * self.C, M))
-            for src, dst, shift, q_vec, scalar in self._terms:
-                if src == dst and shift % M == 0:
-                    diag[src] += scalar * (q_vec if q_vec is not None else 1.0)
-            diag = diag.ravel()
-            diag.flags.writeable = False
-            self._diag = diag
-        return self._diag
-
     def row_sums(self) -> np.ndarray:
         """``P 1`` -- all ones for this stochastic-by-construction chain.
 
@@ -267,75 +337,6 @@ class CDRTransitionOperator:
             ones.flags.writeable = False
             self._ones = ones
         return self._ones
-
-    def stochasticity_defect(self) -> float:
-        """``max |P 1 - 1|`` computed by an actual matvec (guard check).
-
-        :meth:`row_sums` answers from structure; this is the numerical
-        verification that the compiled plan really is row-stochastic.
-        """
-        return float(np.abs(self.matvec(np.ones(self.n)) - 1.0).max())
-
-    def to_csr(self) -> sp.csr_matrix:
-        """Materialize the explicit CSR matrix (identical to the builder's).
-
-        Only needed by solvers that require the assembled sparsity pattern;
-        costs the O(nnz) memory the operator otherwise avoids.  Built from
-        the coalesced plan so the matrix and the kernels agree bit for bit
-        (same merged values, same per-row column order).
-        """
-        return self._plan.to_csr()
-
-    def restrict(
-        self, partition: Partition, weights: Optional[np.ndarray] = None
-    ) -> sp.csr_matrix:
-        """Weighted Galerkin coarse operator, built without assembling ``P``.
-
-        Numerically equivalent (up to summation order) to
-        ``lumped_tpm(self.to_csr(), partition, weights)`` -- the multigrid
-        coarse-level construction -- but the fine matrix never exists: each
-        roll term contributes its ``M`` COO triplets directly in coarse
-        block coordinates, aggregated in chunks of :data:`_RESTRICT_CHUNK`
-        terms so transient memory stays O(chunk * M), not O(nnz).
-        """
-        if partition.n_states != self.n:
-            raise ValueError("partition size does not match operator size")
-        w, block_mass = prepare_block_weights(partition, weights)
-        block = partition.block_of
-        nb = partition.n_blocks
-        M = self.M
-        m_idx = np.arange(M)
-        acc = sp.csr_matrix((nb, nb))
-        rows_c: List[np.ndarray] = []
-        cols_c: List[np.ndarray] = []
-        vals_c: List[np.ndarray] = []
-
-        def flush() -> sp.csr_matrix:
-            chunk = sp.coo_matrix(
-                (
-                    np.concatenate(vals_c),
-                    (np.concatenate(rows_c), np.concatenate(cols_c)),
-                ),
-                shape=(nb, nb),
-            ).tocsr()
-            rows_c.clear()
-            cols_c.clear()
-            vals_c.clear()
-            return chunk
-
-        for src, dst, shift, q_vec, scalar in self._terms:
-            rows = src * M + m_idx
-            cols = dst * M + (m_idx + shift) % M
-            vals = (np.full(M, scalar) if q_vec is None else scalar * q_vec)
-            rows_c.append(block[rows])
-            cols_c.append(block[cols])
-            vals_c.append(vals * w[rows])
-            if len(rows_c) >= _RESTRICT_CHUNK:
-                acc = acc + flush()
-        if rows_c:
-            acc = acc + flush()
-        acc.sum_duplicates()
-        return sp.diags(1.0 / block_mass).dot(acc).tocsr()
 
     def structure_token(self):
         """Hashable structure identity (noise probabilities excluded).

@@ -154,8 +154,9 @@ class CoarseningHierarchy:
         )
 
 
-def _restrict_uniform(P_l, partition: Partition) -> sp.csr_matrix:
-    """Uniform-weight Galerkin restriction of a level operator."""
+def _restrict_uniform(P_l, partition: Partition):
+    """Uniform-weight Galerkin restriction of a level operator (CSR, or
+    the operator level its ``restrict`` returns)."""
     if sp.issparse(P_l):
         return lumped_tpm(P_l, partition)
     restrict = getattr(P_l, "restrict", None)
@@ -382,7 +383,7 @@ def _uncoarsened_csr(op) -> sp.csr_matrix:
     Galerkin restriction onto singleton blocks.
     """
     if getattr(op, "to_csr", None) is None and getattr(op, "restrict", None) is not None:
-        return op.restrict(Partition(np.arange(op.shape[0])), None).tocsr()
+        return ensure_csr(op.restrict(Partition(np.arange(op.shape[0])), None))
     return ensure_csr(op)
 
 
@@ -413,7 +414,10 @@ class AMGPreconditioner:
     multigrid uses, built **once** per preconditioner with fixed weights
     (the warm-start vector when available, uniform otherwise) -- Krylov
     methods require a fixed ``M``.  The fine level is matrix-free:
-    only ``rmatvec``, ``diagonal()`` and ``restrict`` are consumed.
+    only ``rmatvec``, ``diagonal()`` and ``restrict`` are consumed; so is
+    every operator level ``restrict`` returns (the CDR operator's phase
+    pairing yields roll operators down to the coarsest level, which is
+    assembled once for the factored solve).
     """
 
     def __init__(

@@ -32,7 +32,11 @@ Protocol summary (duck-typed; no inheritance required):
                           be bit-identical to ``rmatvec(X[:, j])``
 ``to_csr()``              *optional* -- explicit CSR materialization
 ``restrict(partition,     *optional* -- weighted Galerkin coarse operator
-weights)``                (what matrix-free multigrid coarsening calls)
+weights)``                (what matrix-free multigrid coarsening calls), as
+                          a :class:`TransitionOperator`: CSR, or an
+                          operator level that has ``to_csr()`` (the CDR
+                          operator returns a roll operator for its own
+                          phase pairing); :func:`ensure_csr` gives CSR
 ========================  ====================================================
 
 Call sites that want blocked applies without caring whether the backend

@@ -23,14 +23,18 @@ tolerance.  The coarsening strategy is pluggable: the CDR model supplies
 the paper's phase-pairing strategy via state labels; a generic
 strongest-coupling pairwise aggregation is provided for arbitrary chains.
 
-The *fine* level is matrix-free capable: any
+The hierarchy is matrix-free capable: any
 :class:`~repro.markov.linop.TransitionOperator` works unassembled --
 smoothing routes the Jacobi splitting through ``rmatvec``/``diagonal()``,
-the fine-level residual uses ``rmatvec``, and the first coarse operator is
-built via the operator's Galerkin ``restrict(partition, weights)``.  Coarse
-levels are always assembled CSR matrices (they are small), so levels >= 1
-run exactly as before.  Note that the *generic* pairwise coarsening
-strategy needs the assembled matrix; unassembled operators should supply a
+the fine-level residual uses ``rmatvec``, and each coarse operator is built
+by the level operator's Galerkin ``restrict(partition, weights)``.  What
+``restrict`` returns is the next level: a CSR matrix, or (for the CDR
+operator's own phase pairing) another roll operator on half the phase
+points, smoothed by the same compiled kernel and coarsened the same way.
+Only the coarsest level is assembled (``to_csr()``) for its direct solve;
+an unassembled *fine* level that is already coarsest is solved by power
+iteration instead.  Note that the *generic* pairwise coarsening strategy
+needs the assembled matrix; unassembled operators should supply a
 structural strategy (the CDR model's phase pairing) or implement
 ``to_csr()``.
 
@@ -452,24 +456,29 @@ class MultigridSolver:
             plan, values = source
             split = plan.split(values)  # a view of the plan's values
         else:
-            # Rebuilt per call, so no assembled copy outlives the sweep.
+            # Rebuilt per call: for CSR so no assembled copy outlives the
+            # sweep; for an operator level it is only its cached diagonal.
             split = None
         return jacobi_sweeps(P, x, sweeps, split=split)
 
-    def _coarsest_solve(self, P, x: np.ndarray) -> np.ndarray:
+    def _coarsest_solve(self, P, x: np.ndarray, level: int) -> np.ndarray:
         if sp.issparse(P):
             return solve_direct(P).distribution
-        # An unassembled operator small enough to be its own coarsest
+        if level:
+            # A coarse operator level (what restrict() returned) is small
+            # here: assemble it for the direct solve.
+            return solve_direct(ensure_csr(P)).distribution
+        # An unassembled fine operator small enough to be its own coarsest
         # level: keep the no-materialization guarantee and solve it with
         # matrix-free power iteration seeded from the current iterate.
         return solve_power(P, tol=self.options.tol, x0=x).distribution
 
-    def _coarse_tpm(self, P, partition: Partition, w: np.ndarray) -> sp.csr_matrix:
+    def _coarse_tpm(self, P, partition: Partition, w: np.ndarray):
         """One-shot weighted Galerkin coarse operator (no plan)."""
         if sp.issparse(P):
             return lumped_tpm(P, partition, weights=w)
-        # Matrix-free fine level: delegate the weighted Galerkin
-        # aggregation to the operator so the fine TPM never exists.
+        # Operator level: delegate the weighted Galerkin aggregation to the
+        # operator, so no level's TPM is ever assembled.
         restrict = getattr(P, "restrict", None)
         if restrict is None:
             raise OperatorCapabilityError(
@@ -525,7 +534,8 @@ class MultigridSolver:
         """
         opt = self.options
         n = P.shape[0]
-        nnz = int(P.nnz) if sp.issparse(P) else int(getattr(P, "nnz", 0))
+        # Operator levels count their stored entries from their plan.
+        nnz = int(getattr(P, "nnz", 0))
         self._levels_used = max(self._levels_used, level + 1)
         # Per-level stage attribution (smoothing / coarse build / coarsest
         # solve) for the hot-path profile; one contextvar lookup when off.
@@ -535,7 +545,7 @@ class MultigridSolver:
             # Coarsest level: solved directly, no aggregation (n_blocks=0).
             mon.vcycle_level(cycle, level, n, nnz, 0, 0.0, 0.0)
             t0 = time.perf_counter()
-            x = self._coarsest_solve(P, x)
+            x = self._coarsest_solve(P, x, level)
             if session is not None:
                 session.record_stage(
                     role, "coarsest_solve", time.perf_counter() - t0
@@ -552,7 +562,7 @@ class MultigridSolver:
             # affordable, otherwise keep smoothing.
             t0 = time.perf_counter()
             if n <= 8 * opt.coarsest_size:
-                x = self._coarsest_solve(P, x)
+                x = self._coarsest_solve(P, x, level)
                 stage, post_time = "coarsest_solve", 0.0
             else:
                 x = self._smooth(P, x, opt.nu_post or 1, level, source)

@@ -17,6 +17,7 @@ from repro.cdr.operator import CDRTransitionOperator
 from repro.core.analyzer import analyze_cdr
 from repro.core.spec import CDRSpec
 from repro.markov import as_operator, backend_names, get_backend, solver_table
+from repro.markov.linop import ensure_csr
 from repro.markov.lumping import Partition, lumped_tpm
 
 pytestmark = pytest.mark.operator
@@ -124,7 +125,7 @@ class TestMatvecAgreement:
         for name, op in (("matrix-free", mf.chain), ("kronecker", kron.chain)):
             C = op.restrict(part, w)
             np.testing.assert_allclose(
-                C.toarray(), ref.toarray(), atol=1e-12, err_msg=name
+                ensure_csr(C).toarray(), ref.toarray(), atol=1e-12, err_msg=name
             )
 
 

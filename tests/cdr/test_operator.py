@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cdr import CDRTransitionOperator, PhaseGrid, build_cdr_chain
-from repro.markov import solve_direct
+from repro.cdr.operator import RollOperator
+from repro.markov import Partition, ensure_csr, lumped_tpm, solve_direct
 from repro.noise import DiscreteDistribution, eye_opening_noise
 
 
@@ -137,6 +138,125 @@ class TestMatrixFreeStationary:
         x = np.full(op.n, 1.0 / op.n)
         y = op.rmatvec(x)
         assert y.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def pairing_levels(op, seed=0):
+    """``(level operator, partition, weights, restricted)`` down the
+    operator's own phase-pairing hierarchy, with spread-out weights."""
+    rng = np.random.default_rng(seed)
+    current = op
+    for part in op.phase_pairing_partitions():
+        w = rng.random(current.n) * 10.0 ** -rng.uniform(0.0, 6.0, current.n)
+        coarse = current.restrict(part, w)
+        yield current, part, w, coarse
+        current = coarse
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def op256():
+    return CDRTransitionOperator(**params(M=256))
+
+
+class TestRollLevels:
+    """Phase-pairing coarse levels are roll operators equal to the
+    assembled Galerkin coarse operator, applied bit-for-bit like their
+    own ``to_csr()``."""
+
+    def test_every_pairing_level_matches_lumped_tpm(self, op256):
+        levels = 0
+        for current, part, w, coarse in pairing_levels(op256):
+            assert isinstance(coarse, RollOperator)
+            assert coarse.n == part.n_blocks
+            ref = lumped_tpm(current.to_csr(), part, weights=w)
+            np.testing.assert_allclose(
+                ensure_csr(coarse).toarray(), ref.toarray(), rtol=0, atol=1e-15
+            )
+            levels += 1
+        assert levels == 5  # 256 -> 8 phase points
+
+    def test_level_applies_bitwise_equal_own_csr(self, op256):
+        rng = np.random.default_rng(4)
+        for _, _, _, coarse in pairing_levels(op256, seed=1):
+            P = coarse.to_csr()
+            x = rng.random(coarse.n)
+            X = rng.random((coarse.n, 3))
+            assert same_bits(coarse.rmatvec(x), P.T @ x)
+            assert same_bits(coarse.matvec(x), P @ x)
+            assert same_bits(coarse.rmatmat(X), P.T @ X)
+            assert same_bits(coarse.matmat(X), P @ X)
+            assert same_bits(coarse.diagonal(), P.diagonal())
+            assert coarse.nnz == P.nnz
+            # Segments are trimmed to the phases the fine supports reach:
+            # the kernel touches exactly the stored entries.
+            segs = coarse._plan.scatter
+            assert int((segs.b - segs.a).sum()) == P.nnz
+
+    def test_fine_diagonal_and_nnz_come_from_the_plan(self, pair):
+        model, op = pair
+        P = op.to_csr()
+        assert same_bits(op.diagonal(), P.diagonal())
+        assert op.nnz == P.nnz == model.chain.P.nnz
+
+    def test_non_pairing_partition_still_matches(self, op256):
+        rng = np.random.default_rng(5)
+        n = op256.n
+        _, block_of = np.unique(rng.integers(0, n // 3, size=n), return_inverse=True)
+        part = Partition(block_of)
+        w = rng.random(n)
+        got = op256.restrict(part, w)
+        ref = lumped_tpm(op256.to_csr(), part, weights=w)
+        np.testing.assert_allclose(
+            ensure_csr(got).toarray(), ref.toarray(), rtol=0, atol=1e-15
+        )
+        # The same from a roll level, and on an odd phase count, where the
+        # paper's lumping keeps a singleton and is no longer i // 2.
+        coarse = op256.restrict(op256.phase_pairing_partitions()[0], w)
+        part = Partition(np.arange(coarse.n) // 3)
+        np.testing.assert_allclose(
+            ensure_csr(coarse.restrict(part, None)).toarray(),
+            lumped_tpm(coarse.to_csr(), part).toarray(), rtol=0, atol=1e-15,
+        )
+        odd = CDRTransitionOperator(**params(M=12, counter=2, g=1))
+        current = odd
+        for part in odd.phase_pairing_partitions(coarsest_phase_points=2):
+            w = rng.random(current.n)
+            coarse = current.restrict(part, w)
+            np.testing.assert_allclose(
+                ensure_csr(coarse).toarray(),
+                lumped_tpm(current.to_csr(), part, weights=w).toarray(),
+                rtol=0, atol=1e-15,
+            )
+            current = coarse
+        assert not isinstance(current, RollOperator)  # 3 -> 2 phase points
+
+    def test_coarse_levels_reuse_one_structure(self, op256):
+        # Two V-cycles' coarse builds: new weights, the same value-free
+        # terms and segment tables at every level.
+        parts = op256.phase_pairing_partitions()
+        rng = np.random.default_rng(6)
+        a, b = op256, op256
+        for part in parts[:3]:
+            a = a.restrict(part, rng.random(a.n))
+            b = b.restrict(part, rng.random(b.n))
+            assert a._plan.scatter is b._plan.scatter
+            assert a._plan.gather is b._plan.gather
+            # Each cycle gets a fresh weight table, frozen once built.
+            assert not np.shares_memory(a._plan.q, b._plan.q)
+            assert not a._plan.q.flags.writeable
+
+    def test_coarse_level_inherits_kernel_tier(self):
+        from repro.kernels import active_tier, available_tiers, use_tier
+
+        others = [t for t in available_tiers() if t != active_tier()]
+        tier = others[0] if others else active_tier()
+        with use_tier(tier):
+            op = CDRTransitionOperator(**params(M=64))
+        coarse = op.restrict(op.phase_pairing_partitions()[0], None)
+        assert coarse.kernel_tier == op.kernel_tier == tier
 
 
 class TestValidation:

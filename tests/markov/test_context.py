@@ -45,7 +45,7 @@ from repro.markov.conformance import (
     mesochronous_fixture,
     nearly_uncoupled_fixture,
 )
-from repro.markov.linop import OperatorCapabilityError, as_operator
+from repro.markov.linop import OperatorCapabilityError, as_operator, ensure_csr
 from repro.noise import DiscreteDistribution, eye_opening_noise
 
 
@@ -442,7 +442,7 @@ class TestGalerkinRowSums:
         partition = Partition(block_of)
         weights = rng.uniform(0.1, 1.0, size=n)
         coarse = op.restrict(partition, weights)
-        rows = np.asarray(coarse.sum(axis=1)).ravel()
+        rows = np.asarray(ensure_csr(coarse).sum(axis=1)).ravel()
         np.testing.assert_allclose(rows, 1.0, atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -461,7 +461,7 @@ class TestGalerkinRowSums:
         )
         got = op.restrict(partition, weights)
         np.testing.assert_allclose(
-            got.toarray(), expected.toarray(), atol=1e-12
+            ensure_csr(got).toarray(), expected.toarray(), atol=1e-12
         )
 
 

@@ -61,7 +61,9 @@ class TestAssembledOperator:
         w = np.random.default_rng(1).random(mc.n_states)
         C_op = as_operator(mc).restrict(part, w)
         C_ref = lumped_tpm(mc.P, part, weights=w)
-        np.testing.assert_allclose(C_op.toarray(), C_ref.toarray(), atol=1e-14)
+        np.testing.assert_allclose(
+            ensure_csr(C_op).toarray(), C_ref.toarray(), atol=1e-14
+        )
 
     def test_idempotent_wrapping(self):
         op = as_operator(chain())
