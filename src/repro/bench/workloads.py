@@ -77,7 +77,7 @@ def _ext_op_spec(M: int):
 # ---------------------------------------------------------------------- #
 
 def _register_matvec_benchmarks() -> None:
-    for backend in ("assembled", "matrix-free", "kronecker"):
+    for backend in ("assembled", "matrix-free"):
 
         @register_benchmark(
             f"operator/rmatvec-{backend}",

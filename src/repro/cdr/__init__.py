@@ -4,7 +4,7 @@ The building blocks of the paper's industrial example (Figure 2): data
 statistics (:mod:`repro.cdr.data_source`), bang-bang phase detectors
 (:mod:`repro.cdr.phase_detector`), up/down counter loop filters
 (:mod:`repro.cdr.loop_filter`), the discretized phase error
-(:mod:`repro.cdr.phase_error`) -- plus the vectorized Markov-chain builder
+(:mod:`repro.cdr.phase_error`) -- plus the compiled-plan Markov-chain builder
 (:mod:`repro.cdr.model`), the literal Figure-2 FSM-network model
 (:mod:`repro.cdr.network`), the Monte-Carlo baseline
 (:mod:`repro.cdr.montecarlo`), and design-sweep helpers
@@ -33,7 +33,7 @@ from repro.cdr.montecarlo import (
 )
 from repro.cdr.network import build_cdr_network, compile_cdr_network
 from repro.cdr.operator import CDRTransitionOperator
-from repro.cdr.backends import KroneckerCDROperator, OperatorCDRModel
+from repro.cdr.backends import OperatorCDRModel
 from repro.cdr.phase_detector import (
     PD_LABELS,
     PD_LAG,
@@ -72,7 +72,6 @@ __all__ = [
     "compile_cdr_network",
     "CDRTransitionOperator",
     "OperatorCDRModel",
-    "KroneckerCDROperator",
     "MonteCarloResult",
     "simulate_cdr",
     "required_symbols_for_ber",

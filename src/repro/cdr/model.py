@@ -1,4 +1,4 @@
-"""Vectorized construction of the CDR Markov chain.
+"""Construction of the CDR Markov chain.
 
 This builds the paper's "very large but highly structured" transition
 probability matrix for the digital phase-selection loop directly on the
@@ -6,10 +6,16 @@ product state space
 
     (data-source hidden state d)  x  (counter state c)  x  (phase index m)
 
-with global index ``((d * C) + c) * M + m``.  The construction loops only
-over the small discrete alphabet (data states, phase-detector decisions,
-counter states, ``n_r`` atoms) and is fully vectorized along the phase
-axis, so million-state models assemble in seconds.
+with global index ``((d * C) + c) * M + m``.  One function enumerates the
+structure (:func:`_roll_terms`): it loops only over the small discrete
+alphabet (data states, phase-detector decisions, counter states, ``n_r``
+atoms) and emits block-roll terms -- a source and destination ``(d, c)``
+block, a circular phase shift and per-phase weights.  A
+:class:`~repro.kernels.plan.RollPlan` compiles them, and the assembled
+matrix is the plan's ``to_csr()`` -- the matrix the matrix-free
+:class:`~repro.cdr.operator.CDRTransitionOperator` applies -- validated
+by :class:`MarkovChain`.  The modulated chain (:mod:`repro.cdr.modulated`)
+is built the same way.
 
 Key exactness property: the eye-opening noise ``n_w`` influences the chain
 *only* through the phase detector's three-valued decision, so its atoms are
@@ -39,6 +45,7 @@ from repro.cdr.data_source import transition_run_length_source
 from repro.cdr.loop_filter import counter_state_count
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
+from repro.kernels.plan import RollPlan
 from repro.markov.chain import MarkovChain
 from repro.markov.lumping import Partition
 from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
@@ -266,6 +273,188 @@ def _sign_masses(
     }
 
 
+
+
+def _roll_terms(
+    grid: PhaseGrid,
+    masses: Dict[int, np.ndarray],
+    nr_steps: DiscreteDistribution,
+    counter_length: int,
+    phase_step_units: int,
+    data_source: MarkovSource,
+    drift_source: Optional[MarkovSource] = None,
+) -> List[Tuple[int, int, int, Optional[np.ndarray], float]]:
+    """The chain's transition structure as raw block-roll terms.
+
+    The one enumeration of data state x decision x counter x drift x
+    branch, shared by every CDR chain builder: the assembled and
+    modulated chains are ``RollPlan(terms, ...).to_csr()`` and the
+    matrix-free :class:`~repro.cdr.operator.CDRTransitionOperator` applies
+    the same plan.  Each term is ``(src_block, dst_block, shift, q_vec,
+    scalar)``: probability moves from phase-vector block ``src`` to block
+    ``dst`` with a circular phase shift, weighted per source phase by the
+    decision mass ``q_vec`` (None for one) times ``scalar`` (the drift and
+    branch probabilities).
+
+    Blocks are ``(d, h, c)``, indexed ``(d * H + h) * C + c``, with ``h``
+    the hidden state of the optional ``drift_source``, whose emission is
+    quantized to grid steps and added to the ``n_r`` drift.  Without one,
+    ``H = 1`` and the emission is 0; the unit factors multiply exactly, so
+    those terms are the white-drift chain's.
+
+    Owns the input checks of every builder: a phase move of ``M`` or more
+    grid steps raises ``ValueError``, and moves that all share a factor
+    with ``M`` warn (``RuntimeWarning``) that the phase lattice splits
+    into non-communicating residue classes.
+    """
+    N = int(counter_length)
+    g = int(phase_step_units)
+    if N < 1:
+        raise ValueError("counter_length must be at least 1")
+    if g < 1:
+        raise ValueError("phase_step_units must be at least 1")
+    D = data_source.n_states
+    for i in range(D):
+        if data_source.symbol(i) not in (0, 1):
+            raise ValueError(
+                "data_source must emit transition indicators (0 or 1); "
+                f"hidden state {i} emits {data_source.symbol(i)!r}"
+            )
+    M = grid.n_points
+    C = counter_state_count(N)
+    if drift_source is None:
+        H = 1
+        emissions = [[(0, 1.0)]]
+        drift_branches = [[(0, 1.0)]]
+    else:
+        H = drift_source.n_states
+        emissions = []
+        for h in range(H):
+            atoms = grid.quantize_to_steps(
+                DiscreteDistribution.delta(float(drift_source.symbol(h)))
+            )
+            emissions.append(list(zip(atoms.values.astype(int).tolist(), atoms.probs)))
+        drift_branches = [drift_source.branches(h) for h in range(H)]
+    drift = nr_steps.values.astype(int).tolist()
+    emitted = [e for atoms in emissions for e, _ in atoms]
+
+    max_move = g + max(abs(r) for r in drift) + max(abs(e) for e in emitted)
+    if max_move >= M:
+        raise ValueError(
+            f"phase moves of up to {max_move} grid steps exceed the grid "
+            f"size {M}; refine the grid or reduce the step/drift"
+        )
+    # If every phase move (the correction step G, all n_r atoms and all
+    # emission atoms) shares a common factor with the grid size, the phase
+    # lattice decomposes into non-communicating residue classes and the
+    # stationary distribution is not unique.  Flag it early.
+    move_gcd = math.gcd(g, *drift, *emitted)
+    if move_gcd > 1 and math.gcd(move_gcd, M) > 1:
+        warnings.warn(
+            f"all phase moves are multiples of {move_gcd}: the phase grid "
+            f"decomposes into {math.gcd(move_gcd, M)} non-communicating "
+            "residue classes; choose a grid size or n_r discretization "
+            "that breaks the common factor",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    terms = []
+    for d in range(D):
+        data_branches = data_source.branches(d)
+        decisions = (
+            [(1, masses[1]), (0, masses[0]), (-1, masses[-1])]
+            if data_source.symbol(d) == 1
+            else [(0, None)]
+        )
+        for h in range(H):
+            for c in range(C):
+                src = (d * H + h) * C + c
+                for o, q_vec in decisions:
+                    v = c - (N - 1) + o
+                    if v >= N:
+                        direction, c_next_val = 1, 0
+                    elif v <= -N:
+                        direction, c_next_val = -1, 0
+                    else:
+                        direction, c_next_val = 0, v
+                    c_next = c_next_val + (N - 1)
+                    for e, q_e in emissions[h]:
+                        for r, q_r in zip(drift, nr_steps.probs):
+                            shift = -g * direction + r + e
+                            q_move = q_e * q_r
+                            for h_next, p_h in drift_branches[h]:
+                                for d_next, p_d in data_branches:
+                                    terms.append((
+                                        src,
+                                        (d_next * H + h_next) * C + c_next,
+                                        shift,
+                                        q_vec,
+                                        float(q_move * (p_h * p_d)),
+                                    ))
+    return terms
+
+
+def _slip_matrix(terms, n_blocks: int, M: int) -> sp.csr_matrix:
+    """The sparse slip-flux matrix ``E <= P`` of raw roll terms.
+
+    A term with shift ``s > 0`` wraps the phase for source phases
+    ``m >= M - s`` and one with ``s < 0`` for ``m < -s`` (the convention
+    of :meth:`PhaseGrid.shift_indices`).  Built from the raw terms, not
+    the coalesced plan: coalescing keys on ``shift mod M``, which can
+    merge a wrapping term with a non-wrapping one on a small grid.
+    """
+    n = n_blocks * M
+    wrapping = [t for t in terms if t[2] != 0]
+    if not wrapping:
+        return sp.csr_matrix((n, n))
+    src, dst, shift, q_vecs, scalar = zip(*wrapping)
+    # Row 0 of the weight table is the all-ones row of q_vec None.
+    masses = {id(q): q for q in q_vecs if q is not None}
+    row_of = {key: row for row, key in enumerate(masses, start=1)}
+    q_table = np.stack([np.ones(M), *masses.values()])
+    qrow = np.array([0 if q is None else row_of[id(q)] for q in q_vecs])
+    shift = np.asarray(shift, dtype=np.int64)
+    length = np.abs(shift)
+    first = np.where(shift > 0, M - shift, 0)
+    # The wrapped source phases of every term, term after term.
+    term = np.repeat(np.arange(shift.size), length)
+    m = np.repeat(first - np.cumsum(length) + length, length) + np.arange(term.size)
+    vals = np.asarray(scalar)[term] * q_table[qrow[term], m]
+    live = vals > 0.0
+    term, m = term[live], m[live]
+    rows = np.asarray(src, dtype=np.int64)[term] * M + m
+    cols = np.asarray(dst, dtype=np.int64)[term] * M + (m + shift[term]) % M
+    E = sp.coo_matrix((vals[live], (rows, cols)), shape=(n, n)).tocsr()
+    E.sum_duplicates()
+    return E
+
+
+def _assemble_terms(terms, n_blocks: int, M: int) -> Tuple[MarkovChain, sp.csr_matrix]:
+    """The chain and slip matrix of raw roll terms.
+
+    The matrix is the compiled plan's ``to_csr()`` -- the matrix the
+    :class:`~repro.cdr.operator.CDRTransitionOperator` of the same terms
+    applies -- validated like every :class:`MarkovChain`, which rescales
+    the few rows whose floating-point sum is not exactly one.
+    """
+    P = RollPlan(terms, n_blocks, M).to_csr()
+    return MarkovChain(P), _slip_matrix(terms, n_blocks, M)
+
+
+def _record_build(form_time: float, nnz: int) -> None:
+    registry = get_registry()
+    registry.counter(
+        "repro_tpm_builds_total", "CDR transition matrices assembled"
+    ).inc()
+    registry.histogram(
+        "repro_tpm_build_seconds", "Wall time of CDR TPM assembly"
+    ).observe(form_time)
+    registry.gauge(
+        "repro_tpm_nnz", "Nonzeros of the last assembled CDR TPM"
+    ).set(nnz)
+
+
 def build_cdr_chain(
     grid: PhaseGrid,
     nw: DiscreteDistribution,
@@ -298,173 +487,48 @@ def build_cdr_chain(
         limited source with the given ``transition_density`` and
         ``max_run_length`` is used.
     """
-    if counter_length < 1:
-        raise ValueError("counter_length must be at least 1")
-    if phase_step_units < 1:
-        raise ValueError("phase_step_units must be at least 1")
     if data_source is None:
         data_source = transition_run_length_source(
             "data", transition_density, max_run_length
         )
-    for i in range(data_source.n_states):
-        if data_source.symbol(i) not in (0, 1):
-            raise ValueError(
-                "data_source must emit transition indicators (0 or 1); "
-                f"hidden state {i} emits {data_source.symbol(i)!r}"
-            )
-
     with span("cdr.build_tpm") as build_span:
-        return _assemble(
-            grid, nw, nr, counter_length, phase_step_units, data_source,
-            build_span,
+        start = time.perf_counter()
+        nr_steps = grid.quantize_to_steps(nr)
+        masses = _sign_masses(grid, nw)
+        terms = _roll_terms(
+            grid, masses, nr_steps, counter_length, phase_step_units,
+            data_source,
         )
-
-
-def _assemble(
-    grid: PhaseGrid,
-    nw: DiscreteDistribution,
-    nr: DiscreteDistribution,
-    counter_length: int,
-    phase_step_units: int,
-    data_source: MarkovSource,
-    build_span,
-) -> CDRChainModel:
-    start = time.perf_counter()
-    M = grid.n_points
-    N = int(counter_length)
-    C = counter_state_count(N)
-    D = data_source.n_states
-    g = int(phase_step_units)
-
-    nr_steps = grid.quantize_to_steps(nr)
-    max_move = g + int(np.max(np.abs(nr_steps.values)))
-    if max_move >= M:
-        raise ValueError(
-            f"phase moves of up to {max_move} grid steps exceed the grid "
-            f"size {M}; refine the grid or reduce the step/drift"
+        N, g = int(counter_length), int(phase_step_units)
+        D, C, M = data_source.n_states, counter_state_count(N), grid.n_points
+        chain, E = _assemble_terms(terms, D * C, M)
+        # Structure identity for hierarchy caching (repro.markov.context):
+        # dimensions, counter/step layout, the n_r shift pattern and the
+        # data source's transition structure -- every noise probability
+        # excluded, so sweep points differing only in noise rates share
+        # one digest even though near-zero probabilities shift the CSR
+        # sparsity pattern.
+        ds_P = data_source.chain.P.tocsr()
+        chain.set_structure_token((
+            "cdr-assembled", D, C, M, N, g,
+            tuple(int(v) for v in nr_steps.values),
+            tuple(int(data_source.symbol(s)) for s in range(D)),
+            ds_P.indptr.tobytes(), ds_P.indices.tobytes(),
+        ))
+        form_time = time.perf_counter() - start
+        P = chain.P
+        build_span.set_attributes(
+            n_states=chain.n_states,
+            nnz=int(P.nnz),
+            memory_bytes=int(
+                P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+                + E.data.nbytes + E.indices.nbytes + E.indptr.nbytes
+            ),
+            n_data_states=D,
+            n_counter_states=C,
+            n_phase_points=M,
         )
-    # If every possible phase move (the correction step G and all n_r
-    # atoms) shares a common factor with the grid size, the phase lattice
-    # decomposes into non-communicating residue classes and the stationary
-    # distribution is not unique.  Flag it early.
-    move_gcd = g
-    for r in nr_steps.values.astype(int):
-        if r != 0:
-            move_gcd = math.gcd(move_gcd, abs(r))
-    if move_gcd > 1 and math.gcd(move_gcd, M) > 1:
-        warnings.warn(
-            f"all phase moves are multiples of {move_gcd}: the phase grid "
-            f"decomposes into {math.gcd(move_gcd, M)} non-communicating "
-            "residue classes; choose a grid size or n_r discretization "
-            "that breaks the common factor",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    masses = _sign_masses(grid, nw)
-    ones = np.ones(M)
-    m_idx = np.arange(M)
-
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-    s_rows: List[np.ndarray] = []
-    s_cols: List[np.ndarray] = []
-    s_vals: List[np.ndarray] = []
-
-    for d in range(D):
-        t = data_source.symbol(d)
-        branches = data_source.branches(d)
-        decisions = (
-            [(1, masses[1]), (0, masses[0]), (-1, masses[-1])]
-            if t == 1
-            else [(0, ones)]
-        )
-        for c in range(C):
-            c_val = c - (N - 1)
-            for o, q_o in decisions:
-                v = c_val + o
-                if v >= N:
-                    direction, c_next_val = 1, 0
-                elif v <= -N:
-                    direction, c_next_val = -1, 0
-                else:
-                    direction, c_next_val = 0, v
-                c_next = c_next_val + (N - 1)
-                for r_steps, q_r in zip(nr_steps.values, nr_steps.probs):
-                    shift = -g * direction + int(r_steps)
-                    m_next, wraps = grid.shift_indices(m_idx, shift)
-                    slipped = wraps != 0
-                    for d_next, p_d in branches:
-                        prob = q_o * (q_r * p_d)
-                        nz = prob > 0.0
-                        if not np.any(nz):
-                            continue
-                        row = (d * C + c) * M + m_idx[nz]
-                        col = (d_next * C + c_next) * M + m_next[nz]
-                        rows.append(row)
-                        cols.append(col)
-                        vals.append(prob[nz] if prob.ndim else np.full(nz.sum(), prob))
-                        slip_nz = nz & slipped
-                        if np.any(slip_nz):
-                            s_rows.append((d * C + c) * M + m_idx[slip_nz])
-                            s_cols.append((d_next * C + c_next) * M + m_next[slip_nz])
-                            s_vals.append(
-                                prob[slip_nz]
-                                if prob.ndim
-                                else np.full(slip_nz.sum(), prob)
-                            )
-
-    n = D * C * M
-    P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    P.sum_duplicates()
-    if s_vals:
-        E = sp.coo_matrix(
-            (np.concatenate(s_vals), (np.concatenate(s_rows), np.concatenate(s_cols))),
-            shape=(n, n),
-        ).tocsr()
-        E.sum_duplicates()
-    else:
-        E = sp.csr_matrix((n, n))
-    chain = MarkovChain(P)
-    # Structure identity for hierarchy caching (repro.markov.context):
-    # dimensions, counter/step layout, the n_r shift pattern and the data
-    # source's transition structure -- every noise probability excluded,
-    # so sweep points differing only in noise rates share one digest even
-    # though near-zero probabilities shift the CSR sparsity pattern.
-    ds_P = data_source.chain.P.tocsr()
-    chain.set_structure_token((
-        "cdr-assembled", D, C, M, N, g,
-        tuple(int(v) for v in nr_steps.values),
-        tuple(int(data_source.symbol(s)) for s in range(D)),
-        ds_P.indptr.tobytes(), ds_P.indices.tobytes(),
-    ))
-    form_time = time.perf_counter() - start
-    memory_bytes = int(
-        P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
-        + E.data.nbytes + E.indices.nbytes + E.indptr.nbytes
-    )
-    build_span.set_attributes(
-        n_states=n,
-        nnz=int(P.nnz),
-        memory_bytes=memory_bytes,
-        n_data_states=D,
-        n_counter_states=C,
-        n_phase_points=M,
-    )
-    registry = get_registry()
-    registry.counter(
-        "repro_tpm_builds_total", "CDR transition matrices assembled"
-    ).inc()
-    registry.histogram(
-        "repro_tpm_build_seconds", "Wall time of CDR TPM assembly"
-    ).observe(form_time)
-    registry.gauge(
-        "repro_tpm_nnz", "Nonzeros of the last assembled CDR TPM"
-    ).set(int(P.nnz))
+    _record_build(form_time, int(P.nnz))
     return CDRChainModel(
         chain=chain,
         slip_matrix=E,

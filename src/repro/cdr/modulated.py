@@ -34,11 +34,17 @@ import scipy.sparse as sp
 
 from repro.cdr.data_source import transition_run_length_source
 from repro.cdr.loop_filter import counter_state_count
-from repro.cdr.model import _sign_masses
+from repro.cdr.model import (
+    _assemble_terms,
+    _record_build,
+    _roll_terms,
+    _sign_masses,
+    phase_pairing_partitions,
+)
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.markov.chain import MarkovChain
-from repro.obs import get_registry, span
+from repro.obs import span
 from repro.markov.lumping import Partition
 from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
 from repro.noise.distributions import DiscreteDistribution
@@ -187,17 +193,11 @@ class ModulatedCDRModel:
 
     def phase_pairing_partitions(self, coarsest_phase_points: int = 8) -> List[Partition]:
         """The paper's phase-pairing coarsening, preserving (d, h, c)."""
-        if coarsest_phase_points < 2:
-            raise ValueError("coarsest_phase_points must be at least 2")
-        partitions = []
-        blocks = self.n_data_states * self.n_drift_states * self.n_counter_states
-        M = self.n_phase_points
-        while M > coarsest_phase_points:
-            Mc = (M + 1) // 2
-            i = np.arange(blocks * M)
-            partitions.append(Partition((i // M) * Mc + (i % M) // 2))
-            M = Mc
-        return partitions
+        return phase_pairing_partitions(
+            self.n_data_states * self.n_drift_states * self.n_counter_states,
+            self.n_phase_points,
+            coarsest_phase_points,
+        )
 
     def multigrid_strategy(self, coarsest_phase_points: int = 8) -> CoarseningStrategy:
         return pairing_hierarchy(self.phase_pairing_partitions(coarsest_phase_points))
@@ -248,152 +248,38 @@ def build_modulated_cdr_chain(
 
     Other parameters as in :func:`repro.cdr.model.build_cdr_chain`.
     """
-    if counter_length < 1:
-        raise ValueError("counter_length must be at least 1")
-    if phase_step_units < 1:
-        raise ValueError("phase_step_units must be at least 1")
     if nr is None:
         nr = DiscreteDistribution.delta(0.0)
     if data_source is None:
         data_source = transition_run_length_source(
             "data", transition_density, max_run_length
         )
-    for i in range(data_source.n_states):
-        if data_source.symbol(i) not in (0, 1):
-            raise ValueError("data_source must emit transition indicators (0 or 1)")
-
     with span("cdr.build_tpm", modulated=True) as build_span:
-        return _assemble_modulated(
-            grid, nw, drift_source, counter_length, phase_step_units, nr,
-            data_source, build_span,
+        start = time.perf_counter()
+        nr_steps = grid.quantize_to_steps(nr)
+        masses = _sign_masses(grid, nw)
+        terms = _roll_terms(
+            grid, masses, nr_steps, counter_length, phase_step_units,
+            data_source, drift_source,
         )
-
-
-def _assemble_modulated(
-    grid: PhaseGrid,
-    nw: DiscreteDistribution,
-    drift_source: MarkovSource,
-    counter_length: int,
-    phase_step_units: int,
-    nr: DiscreteDistribution,
-    data_source: MarkovSource,
-    build_span,
-) -> ModulatedCDRModel:
-    start = time.perf_counter()
-    M = grid.n_points
-    N = int(counter_length)
-    C = counter_state_count(N)
-    D = data_source.n_states
-    H = drift_source.n_states
-    g = int(phase_step_units)
-
-    nr_steps = grid.quantize_to_steps(nr)
-    emission_atoms = []
-    max_emit = 0
-    for h in range(H):
-        atoms = grid.quantize_to_steps(
-            DiscreteDistribution.delta(float(drift_source.symbol(h)))
+        H = drift_source.n_states
+        n_blocks = data_source.n_states * H * counter_state_count(counter_length)
+        chain, E = _assemble_terms(terms, n_blocks, grid.n_points)
+        form_time = time.perf_counter() - start
+        build_span.set_attributes(
+            n_states=chain.n_states, nnz=int(chain.nnz), n_drift_states=H
         )
-        emission_atoms.append(list(zip(atoms.values.astype(int), atoms.probs)))
-        max_emit = max(max_emit, int(np.max(np.abs(atoms.values))))
-    max_move = g + int(np.max(np.abs(nr_steps.values))) + max_emit
-    if max_move >= M:
-        raise ValueError(
-            f"phase moves of up to {max_move} grid steps exceed the grid size {M}"
-        )
-
-    masses = _sign_masses(grid, nw)
-    ones = np.ones(M)
-    m_idx = np.arange(M)
-
-    rows, cols, vals = [], [], []
-    s_rows, s_cols, s_vals = [], [], []
-
-    for d in range(D):
-        t = data_source.symbol(d)
-        d_branches = data_source.branches(d)
-        decisions = (
-            [(1, masses[1]), (0, masses[0]), (-1, masses[-1])]
-            if t == 1
-            else [(0, ones)]
-        )
-        for h in range(H):
-            h_branches = drift_source.branches(h)
-            e_atoms = emission_atoms[h]
-            for c in range(C):
-                c_val = c - (N - 1)
-                for o, q_o in decisions:
-                    v = c_val + o
-                    if v >= N:
-                        direction, c_next_val = 1, 0
-                    elif v <= -N:
-                        direction, c_next_val = -1, 0
-                    else:
-                        direction, c_next_val = 0, v
-                    c_next = c_next_val + (N - 1)
-                    for e_steps, q_e in e_atoms:
-                        for r_steps, q_r in zip(nr_steps.values, nr_steps.probs):
-                            shift = -g * direction + int(r_steps) + int(e_steps)
-                            m_next, wraps = grid.shift_indices(m_idx, shift)
-                            slipped = wraps != 0
-                            base_prob = q_o * (q_e * q_r)
-                            for h_next, p_h in h_branches:
-                                for d_next, p_d in d_branches:
-                                    prob = base_prob * (p_h * p_d)
-                                    nz = prob > 0.0
-                                    if not np.any(nz):
-                                        continue
-                                    row = ((d * H + h) * C + c) * M + m_idx[nz]
-                                    col = (
-                                        (d_next * H + h_next) * C + c_next
-                                    ) * M + m_next[nz]
-                                    rows.append(row)
-                                    cols.append(col)
-                                    vals.append(prob[nz])
-                                    slip_nz = nz & slipped
-                                    if np.any(slip_nz):
-                                        s_rows.append(
-                                            ((d * H + h) * C + c) * M + m_idx[slip_nz]
-                                        )
-                                        s_cols.append(
-                                            ((d_next * H + h_next) * C + c_next) * M
-                                            + m_next[slip_nz]
-                                        )
-                                        s_vals.append(prob[slip_nz])
-
-    n = D * H * C * M
-    P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    P.sum_duplicates()
-    if s_vals:
-        E = sp.coo_matrix(
-            (np.concatenate(s_vals), (np.concatenate(s_rows), np.concatenate(s_cols))),
-            shape=(n, n),
-        ).tocsr()
-        E.sum_duplicates()
-    else:
-        E = sp.csr_matrix((n, n))
-    form_time = time.perf_counter() - start
-    build_span.set_attributes(n_states=n, nnz=int(P.nnz), n_drift_states=H)
-    registry = get_registry()
-    registry.counter(
-        "repro_tpm_builds_total", "CDR transition matrices assembled"
-    ).inc()
-    registry.histogram(
-        "repro_tpm_build_seconds", "Wall time of CDR TPM assembly"
-    ).observe(form_time)
+    _record_build(form_time, int(chain.nnz))
     return ModulatedCDRModel(
-        chain=MarkovChain(P),
+        chain=chain,
         slip_matrix=E,
         grid=grid,
         nw=nw,
         nr_steps=nr_steps,
         data_source=data_source,
         drift_source=drift_source,
-        counter_length=N,
-        phase_step_units=g,
+        counter_length=int(counter_length),
+        phase_step_units=int(phase_step_units),
         form_time=form_time,
         sign_masses=masses,
     )

@@ -25,7 +25,6 @@ stays unassembled down to its small coarsest level.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,13 +32,17 @@ import scipy.sparse as sp
 
 from repro.cdr.data_source import transition_run_length_source
 from repro.cdr.loop_filter import counter_state_count
-from repro.cdr.model import _sign_masses
+from repro.cdr.model import (
+    _roll_terms,
+    _sign_masses,
+    _slip_matrix,
+    phase_pairing_partitions,
+)
 from repro.cdr.phase_error import PhaseGrid
 from repro.fsm.stochastic import MarkovSource
 from repro.kernels import RollPlan, as_apply_block, as_apply_vector, get_kernel
 from repro.markov.lumping import Partition, lumped_tpm, prepare_block_weights
 from repro.markov.multigrid import CoarseningStrategy, pairing_hierarchy
-from repro.markov.solvers.result import StationaryResult
 from repro.noise.distributions import DiscreteDistribution
 from repro.obs import get_registry, span
 
@@ -209,8 +212,11 @@ class RollOperator:
 class CDRTransitionOperator(RollOperator):
     """The CDR chain's transition operator, applied without assembly.
 
-    Parameters are identical to :func:`repro.cdr.model.build_cdr_chain`;
-    the operator is mathematically the same matrix (a test invariant).
+    Parameters are identical to :func:`repro.cdr.model.build_cdr_chain`,
+    and both compile the same terms (:func:`repro.cdr.model._roll_terms`)
+    into the same :class:`RollPlan`: the assembled chain's matrix is this
+    operator's ``to_csr()`` as validated by ``MarkovChain`` (a test
+    invariant).
     """
 
     def __init__(
@@ -224,10 +230,6 @@ class CDRTransitionOperator(RollOperator):
         transition_density: float = 0.5,
         max_run_length: int = 3,
     ) -> None:
-        if counter_length < 1:
-            raise ValueError("counter_length must be at least 1")
-        if phase_step_units < 1:
-            raise ValueError("phase_step_units must be at least 1")
         if data_source is None:
             data_source = transition_run_length_source(
                 "data", transition_density, max_run_length
@@ -238,11 +240,12 @@ class CDRTransitionOperator(RollOperator):
         self.counter_length = int(counter_length)
         self.phase_step_units = int(phase_step_units)
         self.nr_steps = grid.quantize_to_steps(nr)
-        if self.phase_step_units + int(np.max(np.abs(self.nr_steps.values))) >= grid.n_points:
-            raise ValueError("phase moves exceed the grid size")
         self._masses = _sign_masses(grid, nw)
         with span("cdr.compile_operator") as op_span:
-            self._terms = self._compile_terms()
+            self._terms = _roll_terms(
+                grid, self._masses, self.nr_steps, counter_length,
+                phase_step_units, data_source,
+            )
             super().__init__(RollPlan(self._terms, self.D * self.C, self.M))
             op_span.set_attributes(
                 n_states=self.n,
@@ -270,56 +273,6 @@ class CDRTransitionOperator(RollOperator):
     @property
     def D(self) -> int:
         return self.data_source.n_states
-
-    def _compile_terms(self) -> List[Tuple[int, int, int, int, Optional[np.ndarray], float]]:
-        """Flatten the transition structure into per-block roll terms.
-
-        Each term is ``(src_block, dst_block, shift, q_vec, scalar)``:
-        probability-weighted mass moves from phase-vector block
-        ``(d, c)`` to block ``(d', c')`` with a circular shift, where
-        ``q_vec`` is the per-phase decision mass (or None for 1) and
-        ``scalar`` collects the data/drift probabilities.  Blocks are
-        indexed ``d * C + c``.
-        """
-        N = self.counter_length
-        C = self.C
-        g = self.phase_step_units
-        terms = []
-        ones = None
-        for d in range(self.D):
-            t = self.data_source.symbol(d)
-            branches = self.data_source.branches(d)
-            decisions = (
-                [(1, self._masses[1]), (0, self._masses[0]), (-1, self._masses[-1])]
-                if t == 1
-                else [(0, ones)]
-            )
-            for c in range(C):
-                c_val = c - (N - 1)
-                for o, q_vec in decisions:
-                    v = c_val + o
-                    if v >= N:
-                        direction, c_next_val = 1, 0
-                    elif v <= -N:
-                        direction, c_next_val = -1, 0
-                    else:
-                        direction, c_next_val = 0, v
-                    c_next = c_next_val + (N - 1)
-                    for r_steps, q_r in zip(
-                        self.nr_steps.values, self.nr_steps.probs
-                    ):
-                        shift = -g * direction + int(r_steps)
-                        for d_next, p_d in branches:
-                            terms.append(
-                                (
-                                    d * C + c,
-                                    d_next * C + c_next,
-                                    shift,
-                                    q_vec,
-                                    float(q_r * p_d),
-                                )
-                            )
-        return terms
 
     def row_sums(self) -> np.ndarray:
         """``P 1`` -- all ones for this stochastic-by-construction chain.
@@ -366,95 +319,20 @@ class CDRTransitionOperator(RollOperator):
     def slip_row_sums(self) -> np.ndarray:
         """Per-state probability of a phase-wrap (cycle-slip) transition.
 
-        Matches ``slip_matrix.sum(axis=1)`` of the assembled model: a term
-        with circular shift ``s > 0`` wraps exactly for source phases
-        ``m >= M - s`` and ``s < 0`` for ``m < -s`` (same convention as
-        ``PhaseGrid.shift_indices``).  This is all
+        The row sums of the assembled model's ``slip_matrix``, computed
+        from the same raw terms (:func:`~repro.cdr.model._slip_matrix`),
+        so the two are equal bit for bit.  This is all
         :func:`~repro.markov.passage.stationary_event_rate` needs, so slip
-        rate and MTBF work without the slip matrix ever existing.  Computed
-        once and cached readonly (the slip measures ask for it twice per
-        analysis).
+        rate and MTBF work without the model's slip matrix being kept.
+        Computed once and cached readonly (the slip measures ask for it
+        twice per analysis).
         """
         if self._slip is None:
-            M = self.M
-            out = np.zeros((self.D * self.C, M))
-            m_idx = np.arange(M)
-            for src, dst, shift, q_vec, scalar in self._terms:
-                if shift == 0:
-                    continue
-                wrapped = (m_idx >= M - shift) if shift > 0 else (m_idx < -shift)
-                if not np.any(wrapped):
-                    continue
-                if q_vec is None:
-                    out[src, wrapped] += scalar
-                else:
-                    out[src, wrapped] += scalar * q_vec[wrapped]
-            out = out.ravel()
-            out.flags.writeable = False
-            self._slip = out
+            E = _slip_matrix(self._terms, self.D * self.C, self.M)
+            slip = np.asarray(E.sum(axis=1)).ravel()
+            slip.flags.writeable = False
+            self._slip = slip
         return self._slip
-
-    def to_kronecker(self):
-        """Kronecker/SAN descriptor of the same matrix over ``[D, C, M]``.
-
-        One descriptor term per (data state, decision, drift atom): a
-        ``D x D`` data-branch factor, a single-entry counter factor and a
-        shifted-diagonal phase factor, with the drift probability as the
-        coefficient.  The sum of terms reproduces the chain exactly (a
-        test invariant), which is what makes the ``kronecker`` backend a
-        drop-in for the matrix-free one.
-        """
-        from repro.fsm.kronecker import KroneckerDescriptor
-
-        N = self.counter_length
-        C, D, M = self.C, self.D, self.M
-        g = self.phase_step_units
-        desc = KroneckerDescriptor([D, C, M])
-        m_idx = np.arange(M)
-        for d in range(D):
-            t = self.data_source.symbol(d)
-            branches = self.data_source.branches(d)
-            d_next_idx = np.array([b[0] for b in branches])
-            d_probs = np.array([b[1] for b in branches], dtype=float)
-            data_factor = sp.csr_matrix(
-                (d_probs, (np.full(len(branches), d), d_next_idx)),
-                shape=(D, D),
-            )
-            decisions = (
-                [(1, self._masses[1]), (0, self._masses[0]), (-1, self._masses[-1])]
-                if t == 1
-                else [(0, None)]
-            )
-            for c in range(C):
-                c_val = c - (N - 1)
-                for o, q_vec in decisions:
-                    v = c_val + o
-                    if v >= N:
-                        direction, c_next_val = 1, 0
-                    elif v <= -N:
-                        direction, c_next_val = -1, 0
-                    else:
-                        direction, c_next_val = 0, v
-                    c_next = c_next_val + (N - 1)
-                    counter_factor = sp.csr_matrix(
-                        ([1.0], ([c], [c_next])), shape=(C, C)
-                    )
-                    for r_steps, q_r in zip(
-                        self.nr_steps.values, self.nr_steps.probs
-                    ):
-                        shift = -g * direction + int(r_steps)
-                        phase_vals = (
-                            np.full(M, 1.0) if q_vec is None else q_vec
-                        )
-                        phase_factor = sp.csr_matrix(
-                            (phase_vals, (m_idx, (m_idx + shift) % M)),
-                            shape=(M, M),
-                        )
-                        desc.add_term(
-                            [data_factor, counter_factor, phase_factor],
-                            coefficient=float(q_r),
-                        )
-        return desc
 
     # ------------------------------------------------------------------ #
     # multigrid coarsening (the paper's phase-pairing strategy)
@@ -469,8 +347,6 @@ class CDRTransitionOperator(RollOperator):
         :meth:`repro.cdr.model.CDRChainModel.phase_pairing_partitions`, so
         matrix-free multigrid coarsens exactly like the assembled solve.
         """
-        from repro.cdr.model import phase_pairing_partitions
-
         return phase_pairing_partitions(
             self.D * self.C, self.M, coarsest_phase_points
         )
@@ -481,42 +357,6 @@ class CDRTransitionOperator(RollOperator):
         """A ready-to-use coarsening strategy for the multigrid solver."""
         return pairing_hierarchy(
             self.phase_pairing_partitions(coarsest_phase_points)
-        )
-
-    # ------------------------------------------------------------------ #
-    # matrix-free stationary solve (deprecated shim)
-    # ------------------------------------------------------------------ #
-
-    def stationary_power(
-        self,
-        tol: float = 1e-10,
-        max_iter: int = 100_000,
-        x0: Optional[np.ndarray] = None,
-        damping: float = 1.0,
-    ) -> StationaryResult:
-        """Deprecated: use ``stationary_distribution(op, method="power")``.
-
-        The private power loop is gone; this shim delegates to the solver
-        registry so matrix-free solves emit the same
-        ``repro.solver-trace/1`` telemetry as assembled ones.  The result's
-        ``method`` is now ``"power"`` (previously ``"matrix-free-power"``).
-        """
-        warnings.warn(
-            "CDRTransitionOperator.stationary_power is deprecated; use "
-            "repro.markov.stationary_distribution(operator, method='power') "
-            "(same matrix-free solve, uniform solver telemetry)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.markov.stationary import stationary_distribution
-
-        return stationary_distribution(
-            self,
-            method="power",
-            tol=tol,
-            max_iter=max_iter,
-            x0=x0,
-            damping=damping,
         )
 
     def phase_marginal(self, distribution: np.ndarray) -> np.ndarray:

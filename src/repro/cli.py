@@ -23,7 +23,7 @@ The commands mirror the library's main entry points:
     capability) and TPM backends -- the ``--solver`` / ``--backend``
     choices.
 ``kernels``
-    Show the matvec kernel tiers (numpy / cext / numba): which are
+    Show the matvec kernel tiers (cext / numpy): which are
     available in this environment, why the others are not, and which one
     ``$REPRO_KERNELS`` currently selects.
 ``faults``
@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "kernels",
-        help="show matvec kernel tiers (availability and active selection)")
+        help="show the matvec kernel tiers (cext, numpy): availability and "
+             "the active selection")
 
     p_fl = sub.add_parser(
         "faults",

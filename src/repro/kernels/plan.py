@@ -1,12 +1,12 @@
 """Coalesced kernel plans for the structural operators.
 
-The matrix-free hot path used to be a Python loop over the raw output of
-``CDRTransitionOperator._compile_terms()`` -- one ``np.roll`` (a full
-allocate-and-concatenate) plus a multiply and an add per term, with the
-same ``(src, dst, shift)`` triple visited once per (decision, drift,
-branch) combination that produced it.  A :class:`RollPlan` compiles those
-terms once, at operator construction, into the form the kernel tiers
-(:mod:`repro.kernels`) consume:
+The CDR chain's structure is a list of raw block-roll terms
+(:func:`repro.cdr.model._roll_terms`), with the same ``(src, dst, shift)``
+triple emitted once per (decision, drift, branch) combination that
+produces it.  A :class:`RollPlan` compiles those terms once into the form
+the kernel tiers (:mod:`repro.kernels`) consume, and is the one builder
+of every CDR chain: the matrix-free operator applies it and the assembled
+and modulated chains are its :meth:`RollPlan.to_csr`:
 
 * **Coalescing** -- terms sharing ``(src_block, dst_block, shift mod M)``
   are merged.  Same decision-mass vector: the scalars are summed.
@@ -156,7 +156,7 @@ def _segments(src, dst, shift, qrow, scale, lo, hi, M: int, transpose: bool) -> 
 class RollPlan:
     """Coalesced block-roll terms plus per-direction segment tables.
 
-    Built once per operator from the raw ``_compile_terms()`` output;
+    Built once per chain from its raw ``_roll_terms()`` output;
     ``scatter`` drives ``rmatvec``/``rmatmat`` (out-block = destination),
     ``gather`` drives ``matvec``/``matmat`` (out-block = source).
     Its :meth:`phase_pairing` builds the plans of the phase-paired

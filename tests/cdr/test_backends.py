@@ -1,10 +1,11 @@
-"""Backend-equivalence suite: assembled / matrix-free / kronecker.
+"""Backend-equivalence suite: assembled / matrix-free.
 
-All three registered TPM backends must realize the *same* matrix: matvec
-and rmatvec agree on random vectors to near machine precision, structural
-queries (diagonal, row sums, slip flux, Galerkin restriction) match the
-assembled reference, and the stationary distribution -- and therefore BER
-and slip MTBF -- agree through the registry for every solver the backend
+Both registered TPM backends realize the *same* matrix, from one
+compiled plan: the assembled CSR is bitwise the matrix-free operator's
+``to_csr()``, applies agree bit for bit, structural queries (diagonal,
+row sums, slip flux, Galerkin restriction) match the assembled
+reference, and the stationary distribution -- and therefore BER and slip
+MTBF -- agree through the registry for every solver the backend
 supports.
 """
 
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 
 import repro.cdr.backends  # noqa: F401  (registers the built-in backends)
-from repro.cdr.backends import KroneckerCDROperator, OperatorCDRModel
+from repro.cdr.backends import OperatorCDRModel
 from repro.cdr.operator import CDRTransitionOperator
 from repro.core.analyzer import analyze_cdr
 from repro.core.spec import CDRSpec
 from repro.markov import as_operator, backend_names, get_backend, solver_table
+from repro.markov.chain import validate_stochastic_matrix
 from repro.markov.linop import ensure_csr
 from repro.markov.lumping import Partition, lumped_tpm
 
@@ -37,18 +39,42 @@ def small_spec(**overrides) -> CDRSpec:
 
 
 @pytest.fixture(scope="module")
-def triplet():
-    """The same small spec realized by all three backends."""
+def pair():
+    """The same small spec realized by both backends."""
     spec = small_spec()
     assembled = get_backend("assembled").build(spec)
     mf = get_backend("matrix-free").build(spec)
-    kron = get_backend("kronecker").build(spec)
-    return spec, assembled, mf, kron
+    return spec, assembled, mf
+
+
+def same_csr(A, B) -> bool:
+    """Bitwise equality of two CSR matrices' arrays."""
+    return (
+        np.array_equal(A.indptr, B.indptr)
+        and np.array_equal(A.indices, B.indices)
+        and np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
+    )
+
+
+def cdr_scenario_builds():
+    """(name, assembled model, matrix-free operator) for every scenario
+    built on the CDR chain, at its fast size."""
+    from repro.cdr.model import CDRChainModel
+    from repro.scenarios.registry import scenario_table
+
+    for scenario in scenario_table():
+        params = scenario.params_for("fast")
+        assembled = scenario.build(params, backend="assembled")
+        model = assembled.extras.get("model")
+        if not isinstance(model, CDRChainModel):
+            continue  # not the CDR chain (e.g. the bang-bang frequency loop)
+        mf = scenario.build(params, backend="matrix-free")
+        yield scenario.name, model, mf.chain
 
 
 class TestRegisteredBackends:
     def test_names(self):
-        assert set(backend_names()) >= {"assembled", "kronecker", "matrix-free"}
+        assert set(backend_names()) == {"assembled", "matrix-free"}
 
     def test_unknown_backend_error(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -58,25 +84,23 @@ class TestRegisteredBackends:
         with pytest.raises(ValueError, match="unknown backend"):
             small_spec(backend="bogus")
 
-    def test_facade_types(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_facade_types(self, pair):
+        _, assembled, mf = pair
         assert isinstance(mf, OperatorCDRModel)
         assert isinstance(mf.chain, CDRTransitionOperator)
-        assert isinstance(kron.chain, KroneckerCDROperator)
         assert mf.slip_matrix is None
         assert assembled.slip_matrix is not None
 
 
 class TestMatvecAgreement:
-    """matvec/rmatvec across the three adapters, rtol 1e-12."""
+    """matvec/rmatvec across the two adapters, rtol 1e-12."""
 
-    def test_random_vectors(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_random_vectors(self, pair):
+        _, assembled, mf = pair
         P = assembled.chain.P
         ops = {
             "assembled": as_operator(assembled.chain),
             "matrix-free": mf.chain,
-            "kronecker": kron.chain,
         }
         rng = np.random.default_rng(42)
         for _ in range(5):
@@ -91,53 +115,77 @@ class TestMatvecAgreement:
                     op.rmatvec(v), ref_rmv, rtol=1e-12, atol=1e-14, err_msg=name
                 )
 
-    def test_diagonal_and_row_sums(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_diagonal_and_row_sums(self, pair):
+        _, assembled, mf = pair
         P = assembled.chain.P
-        for name, op in (("matrix-free", mf.chain), ("kronecker", kron.chain)):
+        np.testing.assert_allclose(mf.chain.diagonal(), P.diagonal(), atol=1e-14)
+        np.testing.assert_allclose(mf.chain.row_sums(), 1.0, atol=1e-12)
+
+    def test_to_csr_reproduces_assembled(self, pair):
+        # One builder: the assembled chain is the matrix-free operator's
+        # to_csr() under MarkovChain's validation, bit for bit, on the
+        # default spec and on every CDR scenario's fast spec.  Validation
+        # rescales the rows whose float sum is not exactly one, so the raw
+        # to_csr() has the same pattern and values within an ulp or two.
+        def check(op, P, label):
+            assert same_csr(validate_stochastic_matrix(op.to_csr()), P), label
+            raw, canonical = op.to_csr(), P.copy()
+            canonical.sort_indices()
+            assert np.array_equal(raw.indptr, canonical.indptr), label
+            assert np.array_equal(raw.indices, canonical.indices), label
             np.testing.assert_allclose(
-                op.diagonal(), P.diagonal(), atol=1e-14, err_msg=name
-            )
-            np.testing.assert_allclose(
-                op.row_sums(), 1.0, atol=1e-12, err_msg=name
+                raw.data, canonical.data, rtol=1e-15, atol=0, err_msg=label
             )
 
-    def test_to_csr_reproduces_assembled(self, triplet):
-        _, assembled, mf, kron = triplet
-        P = assembled.chain.P
-        for name, op in (("matrix-free", mf.chain), ("kronecker", kron.chain)):
-            diff = abs(op.to_csr() - P)
-            assert diff.max() < 1e-14, name
+        _, assembled, mf = pair
+        check(mf.chain, assembled.chain.P, "small spec")
+        spec = CDRSpec()
+        check(
+            get_backend("matrix-free").build(spec).chain,
+            get_backend("assembled").build(spec).chain.P,
+            "default spec",
+        )
+        names = []
+        for name, model, op in cdr_scenario_builds():
+            check(op, model.chain.P, name)
+            names.append(name)
+        assert {"baseline", "alexander-offset", "mesochronous-settle"} <= set(names)
 
-    def test_slip_row_sums_match_slip_matrix(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_rmatvec_agrees_to_rounding(self, pair):
+        _, assembled, mf = pair
+        x = np.random.default_rng(8).random(assembled.n_states)
+        got = mf.chain.rmatvec(x)
+        ref = mf.chain.to_csr().T @ x
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        np.testing.assert_allclose(
+            as_operator(assembled.chain).rmatvec(x), got, rtol=1e-15, atol=0
+        )
+
+    def test_slip_row_sums_match_slip_matrix(self, pair):
+        _, assembled, mf = pair
         ref = np.asarray(assembled.slip_matrix.sum(axis=1)).ravel()
-        for name, model in (("matrix-free", mf), ("kronecker", kron)):
-            np.testing.assert_allclose(
-                model.slip_row_sums(), ref, atol=1e-14, err_msg=name
-            )
+        assert np.array_equal(mf.slip_row_sums(), ref)
 
-    def test_restrict_matches_lumped_tpm(self, triplet):
-        _, assembled, mf, kron = triplet
+    def test_restrict_matches_lumped_tpm(self, pair):
+        _, assembled, mf = pair
         part = mf.phase_pairing_partitions()[0]
         w = np.random.default_rng(7).random(assembled.n_states)
         ref = lumped_tpm(assembled.chain.P, part, weights=w)
-        for name, op in (("matrix-free", mf.chain), ("kronecker", kron.chain)):
-            C = op.restrict(part, w)
-            np.testing.assert_allclose(
-                ensure_csr(C).toarray(), ref.toarray(), atol=1e-12, err_msg=name
-            )
+        C = mf.chain.restrict(part, w)
+        np.testing.assert_allclose(
+            ensure_csr(C).toarray(), ref.toarray(), atol=1e-12
+        )
 
 
 class TestStationaryAgreement:
     """Every backend x iterative-solver pair through the registry."""
 
-    def test_all_pairs(self, triplet):
+    def test_all_pairs(self, pair):
         from repro.markov import stationary_distribution
 
-        spec, assembled, mf, kron = triplet
+        spec, assembled, mf = pair
         ref = stationary_distribution(assembled.chain, method="direct").distribution
-        models = {"assembled": assembled, "matrix-free": mf, "kronecker": kron}
+        models = {"assembled": assembled, "matrix-free": mf}
         for entry in solver_table():
             for backend, model in models.items():
                 if not entry.matrix_free and backend == "assembled":
@@ -158,17 +206,16 @@ class TestAnalyzerAgreement:
         # cannot be expected to agree between exact and iterative solves.
         spec = small_spec(nw_std=0.25)
         ref = analyze_cdr(spec)
-        for backend in ("matrix-free", "kronecker"):
-            res = analyze_cdr(spec, backend=backend, solver="multigrid", tol=1e-12)
-            assert res.backend == backend
-            assert res.solver_entry == "multigrid"
-            assert abs(res.ber - ref.ber) <= 1e-8 * ref.ber, backend
-            if np.isfinite(ref.mean_symbols_between_slips):
-                assert np.isclose(
-                    res.mean_symbols_between_slips,
-                    ref.mean_symbols_between_slips,
-                    rtol=1e-6,
-                ), backend
+        res = analyze_cdr(spec, backend="matrix-free", solver="multigrid", tol=1e-12)
+        assert res.backend == "matrix-free"
+        assert res.solver_entry == "multigrid"
+        assert abs(res.ber - ref.ber) <= 1e-8 * ref.ber
+        if np.isfinite(ref.mean_symbols_between_slips):
+            assert np.isclose(
+                res.mean_symbols_between_slips,
+                ref.mean_symbols_between_slips,
+                rtol=1e-6,
+            )
 
     def test_auto_solver_policy_matrix_free(self):
         res = analyze_cdr(small_spec(), backend="matrix-free")
@@ -193,7 +240,7 @@ class TestAnalyzerAgreement:
     def test_spec_backend_round_trips(self):
         from repro.core.serialize import spec_from_dict, spec_to_dict
 
-        spec = small_spec(backend="kronecker")
+        spec = small_spec(backend="matrix-free")
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 

@@ -1,13 +1,18 @@
-"""Tests for the vectorized CDR chain builder (S18)."""
+"""Tests for the CDR chain builder (S18)."""
+
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.cdr import (
+    CDRTransitionOperator,
     PhaseGrid,
     bernoulli_transition_source,
     build_cdr_chain,
+    build_modulated_cdr_chain,
+    bursty_drift_source,
     transition_run_length_source,
 )
 from repro.fsm import IIDSource
@@ -348,3 +353,52 @@ class TestAlternativeSources:
             max_run_length=5,
         )
         assert model.n_data_states == 5
+
+
+def build_with(builder, nr, phase_step_units, grid=None):
+    """One chain through one of the three builders sharing the term compiler."""
+    grid = grid or PhaseGrid(32)
+    params = dict(
+        grid=grid,
+        nw=eye_opening_noise(0.06, n_atoms=7),
+        nr=nr,
+        counter_length=2,
+        phase_step_units=phase_step_units,
+        max_run_length=2,
+    )
+    if builder == "assembled":
+        return build_cdr_chain(**params)
+    if builder == "matrix-free":
+        return CDRTransitionOperator(**params)
+    # Hidden drift states emitting 0 and 2 grid steps: every move stays even.
+    drift = bursty_drift_source("b", 0.0, 2 * grid.step, 0.1, 0.2)
+    return build_modulated_cdr_chain(drift_source=drift, **params)
+
+
+BUILDERS = ["assembled", "matrix-free", "modulated"]
+
+
+class TestSharedInputChecks:
+    """Every builder runs the term compiler's checks."""
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_residue_classes_warn(self, builder):
+        step = PhaseGrid(32).step
+        nr = DiscreteDistribution([-2 * step, 0.0, 2 * step], [0.25, 0.5, 0.25])
+        with pytest.warns(RuntimeWarning, match="2 non-communicating residue classes"):
+            build_with(builder, nr, phase_step_units=2)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_communicating_lattice_does_not_warn(self, builder):
+        step = PhaseGrid(32).step
+        nr = DiscreteDistribution([-step, 0.0, step], [0.25, 0.5, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            build_with(builder, nr, phase_step_units=2)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_moves_beyond_grid_raise(self, builder):
+        grid = PhaseGrid(8)
+        nr = DiscreteDistribution.delta(3 * grid.step)
+        with pytest.raises(ValueError, match="exceed the grid size 8"):
+            build_with(builder, nr, phase_step_units=5, grid=grid)

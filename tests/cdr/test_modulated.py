@@ -97,10 +97,81 @@ class TestBuilderEquivalence:
             counter_length=2, phase_step_units=2, max_run_length=2,
         )
         assert mod.n_states == base.n_states
-        diff = (base.chain.P - mod.chain.P)
-        assert abs(diff).max() < 1e-14
-        sdiff = (base.slip_matrix - mod.slip_matrix)
-        assert sdiff.nnz == 0 or abs(sdiff).max() < 1e-14
+        # One term compiler: H = 1 with zero emission multiplies unit
+        # factors, so the chains agree bit for bit.
+        for A, B in ((base.chain.P, mod.chain.P), (base.slip_matrix, mod.slip_matrix)):
+            assert np.array_equal(A.indptr, B.indptr)
+            assert np.array_equal(A.indices, B.indices)
+            assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
+
+
+def enumerated_modulated_chain(grid, nw, drift_source, nr, counter_length, g,
+                               data_source):
+    """Dense ``(P, E)`` of the modulated chain, enumerated state by state.
+
+    An independent reference for the builder: for every state ``(d, h, c,
+    m)`` it walks every ``n_w`` atom (the detector decides on
+    ``sgn(phi_m + n_w)``), emission atom, ``n_r`` atom and hidden/data
+    branch, and adds the product of their probabilities to the successor.
+    """
+    M, N = grid.n_points, counter_length
+    C, D, H = 2 * N - 1, data_source.n_states, drift_source.n_states
+    nr_steps = grid.quantize_to_steps(nr)
+    n = D * H * C * M
+    P = np.zeros((n, n))
+    E = np.zeros((n, n))
+    for d in range(D):
+        for h in range(H):
+            emit = grid.quantize_to_steps(
+                DiscreteDistribution.delta(drift_source.symbol(h))
+            )
+            for c in range(C):
+                for m in range(M):
+                    i = ((d * H + h) * C + c) * M + m
+                    for w, p_w in zip(nw.values, nw.probs):
+                        if data_source.symbol(d) == 1:
+                            o = int(np.sign(grid.values[m] + w))
+                        else:
+                            o = 0
+                        v = c - (N - 1) + o
+                        direction = 1 if v >= N else -1 if v <= -N else 0
+                        c_next = (0 if direction else v) + (N - 1)
+                        for e, p_e in zip(emit.values, emit.probs):
+                            for r, p_r in zip(nr_steps.values, nr_steps.probs):
+                                raw = m - g * direction + int(r) + int(e)
+                                m_next = raw % M
+                                for h_next, p_h in drift_source.branches(h):
+                                    for d_next, p_d in data_source.branches(d):
+                                        j = ((d_next * H + h_next) * C + c_next) * M + m_next
+                                        p = p_w * p_e * p_r * p_h * p_d
+                                        P[i, j] += p
+                                        if raw != m_next:
+                                            E[i, j] += p
+    return P, E
+
+
+class TestEnumeratedReference:
+    @pytest.mark.parametrize("source", ["sinusoid", "bursty"])
+    def test_matches_state_by_state_enumeration(self, source):
+        grid = PhaseGrid(16)
+        nw = eye_opening_noise(0.08, n_atoms=5)
+        nr = DiscreteDistribution([-grid.step, 0.0, grid.step], [0.3, 0.45, 0.25])
+        drift = (
+            sinusoidal_drift_source("sj", 0.1, 4, dwell_jitter=0.1)
+            if source == "sinusoid"
+            else bursty_drift_source("b", 0.0, 0.7 * grid.step, 0.2, 0.3)
+        )
+        model = build_modulated_cdr_chain(
+            grid=grid, nw=nw, drift_source=drift, nr=nr,
+            counter_length=2, phase_step_units=2, max_run_length=2,
+        )
+        P, E = enumerated_modulated_chain(
+            grid, nw, drift, nr, 2, 2, model.data_source
+        )
+        assert model.n_drift_states >= 2
+        np.testing.assert_allclose(model.chain.P.toarray(), P, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(model.slip_matrix.toarray(), E, rtol=0, atol=1e-15)
+        assert E.any()
 
 
 class TestModulatedModel:

@@ -1,5 +1,6 @@
 """Cross-validation: the literal Figure-2 FSM network (S12+S14-S17) must
-agree exactly with the vectorized builder (S18)."""
+agree exactly with the compiled-plan builder (S18), the one builder of
+every CDR chain."""
 
 import numpy as np
 import pytest
@@ -80,6 +81,65 @@ class TestAgreement:
         state space strictly contains the vectorized model's information."""
         params, model, nc = pair
         assert nc.n_states > model.n_states
+
+
+def config_params(name):
+    """Small configurations that stress different parts of the term
+    compiler against the network oracle."""
+    grid = PhaseGrid(16)
+    params = tiny_params()
+    step = grid.step
+    if name == "saturating-counter":
+        # N = 1: every decision saturates the counter at once, so
+        # different decision masses coalesce onto one (src, dst, shift).
+        params.update(
+            counter_length=1,
+            phase_step_units=1,
+            nr=DiscreteDistribution([-step, 0.0, step], [0.3, 0.4, 0.3]),
+        )
+    elif name == "wide-step-wrap":
+        # G = 2 with drift on a short grid: many moves wrap (cycle slips).
+        params.update(
+            grid=PhaseGrid(12),
+            phase_step_units=2,
+            nr=DiscreteDistribution(
+                [-PhaseGrid(12).step, 0.0, PhaseGrid(12).step], [0.3, 0.3, 0.4]
+            ),
+        )
+    elif name == "asymmetric-drift":
+        params.update(
+            nr=DiscreteDistribution(
+                [-step, 0.0, step, 2 * step], [0.1, 0.4, 0.3, 0.2]
+            ),
+            phase_step_units=2,
+        )
+    return params
+
+
+@pytest.mark.parametrize(
+    "name", ["saturating-counter", "wide-step-wrap", "asymmetric-drift"]
+)
+def test_configuration_matches_network(name):
+    from repro.core.measures import bit_error_rate_discrete
+
+    params = config_params(name)
+    model = build_cdr_chain(**params)
+    nc = compile_cdr_network(**params)
+    eta_model = solve_direct(model.chain.P).distribution
+    eta_net = solve_direct(nc.chain.P).distribution
+    np.testing.assert_allclose(
+        network_phase_marginal(nc, params["grid"]),
+        model.phase_marginal(eta_model),
+        atol=1e-9,
+    )
+    rate_model = stationary_event_rate(eta_model, model.slip_matrix)
+    rate_net = stationary_event_rate(eta_net, nc.event_matrices["slip"])
+    assert rate_model > 0.0
+    assert rate_net == pytest.approx(rate_model, rel=1e-8, abs=1e-12)
+    ber_net = stationary_event_rate(eta_net, nc.event_matrices["decision-error"])
+    assert ber_net == pytest.approx(
+        bit_error_rate_discrete(model, eta_model), rel=1e-8, abs=1e-12
+    )
 
 
 class TestNetworkStructure:

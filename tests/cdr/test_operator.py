@@ -5,7 +5,13 @@ import pytest
 
 from repro.cdr import CDRTransitionOperator, PhaseGrid, build_cdr_chain
 from repro.cdr.operator import RollOperator
-from repro.markov import Partition, ensure_csr, lumped_tpm, solve_direct
+from repro.markov import (
+    Partition,
+    ensure_csr,
+    lumped_tpm,
+    solve_direct,
+    stationary_distribution,
+)
 from repro.noise import DiscreteDistribution, eye_opening_noise
 
 
@@ -96,27 +102,14 @@ class TestMatrixFreeStationary:
     def test_matches_direct_solve(self, pair):
         model, op = pair
         ref = solve_direct(model.chain.P).distribution
-        with pytest.warns(DeprecationWarning, match="stationary_power"):
-            res = op.stationary_power(tol=1e-11)
+        res = stationary_distribution(op, method="power", tol=1e-11)
         assert res.converged
-        # The deprecated shim now routes through the solver registry, so
-        # the method reads "power" like every other registry solve.
         assert res.method == "power"
         assert np.abs(res.distribution - ref).sum() < 1e-8
 
-    def test_registry_path_matches_shim(self, pair):
-        from repro.markov import stationary_distribution
-
-        _, op = pair
-        with pytest.warns(DeprecationWarning):
-            shim = op.stationary_power(tol=1e-11)
-        direct = stationary_distribution(op, method="power", tol=1e-11)
-        np.testing.assert_allclose(shim.distribution, direct.distribution)
-
     def test_phase_marginal_matches(self, pair):
         model, op = pair
-        with pytest.warns(DeprecationWarning):
-            res = op.stationary_power(tol=1e-11)
+        res = stationary_distribution(op, method="power", tol=1e-11)
         np.testing.assert_allclose(
             op.phase_marginal(res.distribution),
             model.phase_marginal(res.distribution),
@@ -125,9 +118,8 @@ class TestMatrixFreeStationary:
 
     def test_damping_validation(self, pair):
         _, op = pair
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                op.stationary_power(damping=0.0)
+        with pytest.raises(ValueError):
+            stationary_distribution(op, method="power", damping=0.0)
 
     def test_large_model_runs_without_assembly(self):
         """A model size whose assembled matrix would be heavy builds and
